@@ -64,8 +64,6 @@ from .trajectory import (
     JumpEvent,
     TrajectoryConfig,
     TrajectoryRecord,
-    deterministic_step,
-    maybe_jump,
     run_trajectory,
     trajectory_rng,
     write_event_log,
@@ -111,7 +109,6 @@ __all__ = [
     "closed_form_channels",
     "coherent_state",
     "density_defects",
-    "deterministic_step",
     "ensemble_density",
     "expectation",
     "fix_phase",
@@ -123,7 +120,6 @@ __all__ = [
     "jump_channels",
     "master_evolve",
     "master_step",
-    "maybe_jump",
     "minimize_hasse_defect",
     "modified_rate_operator",
     "normalize",

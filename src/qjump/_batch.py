@@ -1,4 +1,4 @@
-"""Vectorized multi-trajectory engine.
+"""Vectorized multi-trajectory engine and the one step policy it shares.
 
 Evolves many trajectories of one generator at once, holding the states
 as columns of a (d, M) block so each Runge-Kutta stage is a single
@@ -10,11 +10,13 @@ step.  Output bytes therefore do not depend on the thread count.  CHUNK
 itself is part of that contract: changing it reorders floating-point
 accumulation and changes output in the last bits.
 
-The per-step policy is the same as the single-trajectory path in
-trajectory.py: Bernoulli jump with probability w dt decided by the first
-uniform, channel selection by cumulative scan with the second, jump
-replacing the whole step.  Jumps are rare, so the channel eigenproblem
-is solved per jumping column only.
+Every step, here at M = CHUNK and in trajectory.run_trajectory at M = 1,
+goes through jump_step: Bernoulli jump with probability w dt decided by
+the first uniform, channel selection by cumulative scan with the second,
+jump replacing the whole step.  Each state's flow evaluation is computed
+once and carried into the next step, where it gives both w and the first
+Runge-Kutta stage.  Jumps are rare, so the channel eigenproblem is
+solved per jumping column only.
 """
 
 from __future__ import annotations
@@ -27,13 +29,112 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _flow
-from .errors import DimensionMismatch, EmptyChannels, StepTooLarge
+from .errors import DimensionMismatch, EmptyChannels, NegativeRate, StepTooLarge
 from .generator import GeneratorSpec
 from .linalg import as_state, normalize
-from .trajectory import JUMP_PROB_MAX, JUMP_PROB_WARN, RATE_FLOOR_ABS, select_channel, trajectory_rng
-from .unraveling import jump_channels
+from .unraveling import RATE_CLAMP, RateReport, jump_channels
 
 CHUNK = 1024
+JUMP_PROB_WARN = 0.1
+JUMP_PROB_MAX = 0.5
+RATE_FLOOR_ABS = 1e-9
+
+
+def trajectory_rng(seed: int, trajectory_index: int) -> np.random.Generator:
+    """Philox stream keyed by (seed, trajectory_index).
+
+    Counter-based, so streams for different indices are independent and
+    a single trajectory can be replayed without generating the others.
+    The key layout (seed first, index second) is part of the stable
+    on-disk reproducibility contract.
+    """
+    key = np.array([seed, trajectory_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def select_channel(report: RateReport, u2: float) -> int:
+    """Channel index chosen with probability rate / total by cumulative scan."""
+    rates = report.rates
+    if rates.size == 0:
+        raise EmptyChannels("cannot select a channel from an empty report")
+    threshold = u2 * float(rates.sum())
+    running = 0.0
+    for n, rate in enumerate(rates):
+        running += float(rate)
+        if threshold < running:
+            return n
+    return int(rates.size - 1)
+
+
+def _where(first: int, j: int, step: int, dt: float) -> str:
+    return f"trajectory {first + j} at t={(step + 1) * dt:.12g}"
+
+
+def jump_step(
+    spec: GeneratorSpec,
+    flow: _flow.CompiledFlow,
+    psi: np.ndarray,
+    evaluation: tuple[np.ndarray, np.ndarray],
+    dt: float,
+    u: np.ndarray,
+    step: int,
+    first: int = 0,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], float, list[tuple[int, float, int]]]:
+    """One step of the jump policy for every column of the (d, M) block psi.
+
+    evaluation is _flow.rhs_block(flow, psi, want_rate=True): the flow rhs
+    and the decay rate w at psi.  It supplies both the jump probability
+    w dt and the first Runge-Kutta stage, so each state is evaluated once.
+    Column j is trajectory first + j, u[:, j] is its pair of uniforms for
+    this step and the step lands on t = (step + 1) dt; errors name both.
+    A column jumps when u[0, j] < w dt; the jump replaces the whole step
+    with the channel that u[1, j] selects.  Every other column takes the
+    Runge-Kutta step.
+
+    Returns the next block, its evaluation, the largest jump probability
+    of this step (the callers warn on it) and the jumps as (column,
+    channel rate, channel index) in column order.
+    """
+    k1, rate = evaluation
+    bad = np.flatnonzero(rate < -RATE_CLAMP)
+    if bad.size:
+        j = int(bad[0])
+        raise NegativeRate(f"{_where(first, j, step, dt)}: total decay rate {rate[j]:.3e} is negative beyond roundoff")
+    rate = np.maximum(rate, 0.0)
+    prob = rate * dt
+    # a negated in-bounds test, so that a NaN or inf probability fails it too
+    bad = np.flatnonzero(~(prob <= JUMP_PROB_MAX))
+    if bad.size:
+        j = int(bad[0])
+        raise StepTooLarge(
+            f"{_where(first, j, step, dt)}: jump probability {prob[j]:.3f} per step exceeds {JUMP_PROB_MAX}; reduce dt",
+            column=j,
+        )
+    jumps: list[tuple[int, float, int]] = []
+    targets: dict[int, np.ndarray] = {}
+    for j in np.flatnonzero(u[0] < prob):
+        j = int(j)
+        report = jump_channels(spec, psi[:, j])
+        if not report.channels:
+            if rate[j] > RATE_FLOOR_ABS:
+                raise EmptyChannels(
+                    f"{_where(first, j, step, dt)}: decay rate {rate[j]:.3e} but every channel was filtered out"
+                )
+            continue
+        chosen = select_channel(report, float(u[1, j]))
+        channel = report.channels[chosen]
+        jumps.append((j, channel.rate, chosen))
+        targets[j] = channel.target
+    if len(targets) == psi.shape[1]:
+        psi_next = np.empty_like(psi)
+    else:
+        try:
+            psi_next = _flow.rk4_step_block(flow, psi, dt, k1=k1)
+        except StepTooLarge as exc:
+            raise StepTooLarge(f"{_where(first, exc.column, step, dt)}: {exc}", column=exc.column) from exc
+    for j, target in targets.items():
+        psi_next[:, j] = target
+    return psi_next, _flow.rhs_block(flow, psi_next, want_rate=True), float(prob.max()), jumps
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -141,31 +242,12 @@ def run_batch(
         slot = slot_of.get(0)
         if slot is not None:
             accumulate(slot, psi)
+        evaluation = _flow.rhs_block(flow, psi, want_rate=True)
         for i in range(n_steps):
-            k1, rate = _flow.rhs_block(flow, psi, want_rate=True)
-            prob = rate * dt
-            step_max = float(prob.max())
-            if step_max > JUMP_PROB_MAX:
-                raise StepTooLarge(
-                    f"jump probability {step_max:.3f} per step exceeds {JUMP_PROB_MAX}; reduce dt"
-                )
-            pmax = max(pmax, step_max)
-            jumping = np.flatnonzero(uniforms[i, 0] < prob)
-            psi_next = _flow.rk4_step_block(flow, psi, dt, k1=k1)
-            for j in jumping:
-                report = jump_channels(spec, psi[:, j])
-                if not report.channels:
-                    if rate[j] > RATE_FLOOR_ABS:
-                        raise EmptyChannels(
-                            f"decay rate {rate[j]:.3e} but every channel was filtered out"
-                        )
-                    continue
-                chosen = select_channel(report, float(uniforms[i, 1, j]))
-                channel = report.channels[chosen]
-                psi_next[:, j] = channel.target
-                if log is not None:
-                    log.append((lo + int(j), (i + 1) * dt, channel.rate, chosen))
-            psi = psi_next
+            psi, evaluation, prob, jumps = jump_step(spec, flow, psi, evaluation, dt, uniforms[i], i, lo)
+            pmax = max(pmax, prob)
+            if log is not None:
+                log.extend((lo + j, (i + 1) * dt, rate, chosen) for j, rate, chosen in jumps)
             slot = slot_of.get(i + 1)
             if slot is not None:
                 accumulate(slot, psi)

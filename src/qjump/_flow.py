@@ -3,9 +3,10 @@
 compile_flow folds a GeneratorSpec into a small set of dense matrices so
 the flow right hand side can be evaluated with one stacked matrix
 product, for a single state or for a whole block of states at once
-(columns of a (d, M) array).  Both the single-trajectory integrator and
-the batched ensemble engine call into this module, so they integrate the
-exact same discretized flow.
+(columns of a (d, M) array).  Both engines reach this module through
+the one step policy, _batch.jump_step, so a single trajectory and an
+ensemble integrate the exact same discretized flow and read their jump
+probability off the same rate evaluation.
 
 With raw bilinear expectations s_a = psi^dag A_a psi (no normalization),
 
@@ -127,10 +128,14 @@ def rk4_step_block(
     out = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     norms = np.sqrt(np.einsum("dm,dm->m", out.conj(), out).real)
     if check:
-        drift = float(np.max(np.abs(norms - 1.0)))
-        if drift > NORM_DRIFT_MAX:
+        drift = np.abs(norms - 1.0)
+        # written so that NaN and inf fail the guard as well
+        bad = np.flatnonzero(~(drift <= NORM_DRIFT_MAX))
+        if bad.size:
+            j = int(bad[0])
             raise StepTooLarge(
-                f"pre-renormalization norm drifted by {drift:.3e} > {NORM_DRIFT_MAX:.1e}; reduce dt"
+                f"pre-renormalization norm of column {j} drifted by {drift[j]:.3e} > {NORM_DRIFT_MAX:.1e}; reduce dt",
+                column=j,
             )
     return out / norms[None, :]
 
@@ -138,11 +143,6 @@ def rk4_step_block(
 def flow_rhs(cf: CompiledFlow, psi: np.ndarray) -> np.ndarray:
     rhs, _ = rhs_block(cf, psi[:, None])
     return rhs[:, 0]
-
-
-def decay_rate(cf: CompiledFlow, psi: np.ndarray) -> float:
-    _, rate = rhs_block(cf, psi[:, None], want_rate=True)
-    return float(rate[0])
 
 
 def rk4_step(cf: CompiledFlow, psi: np.ndarray, dt: float, check: bool = True) -> np.ndarray:

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from ._flow import compile_flow, flow_rhs
+from ._flow import compile_flow, flow_rhs, rhs_block
 from ._io import density_dump_lines, fmt, write_lines
 from .config import RunConfig, parse_config
 from .ensemble import (
@@ -80,6 +80,7 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
     states = _probe_states(cfg)
     worst = {
         "flow_norm_tangency": 0.0,
+        "flow_decay_rate": 0.0,
         "rate_operator_eigenstate": 0.0,
         "modified_rate_annihilates_state": 0.0,
         "modified_rate_trace_sum_rule": 0.0,
@@ -98,6 +99,8 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
         rhs = flow_rhs(flow, psi)
         worst["flow_norm_tangency"] = max(worst["flow_norm_tangency"], abs(2.0 * np.vdot(psi, rhs).real))
         w = total_decay_rate(spec, psi)
+        _, flow_rate = rhs_block(flow, psi[:, None], want_rate=True)
+        worst["flow_decay_rate"] = max(worst["flow_decay_rate"], abs(float(flow_rate[0]) - w) / max(1.0, w))
         w_op = transition_rate_operator(spec, psi)
         wp_op = modified_rate_operator(spec, psi)
         worst["rate_operator_eigenstate"] = max(
@@ -141,6 +144,7 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
             )
 
     bounded("flow_norm_tangency", worst["flow_norm_tangency"], VERIFY_TIGHT)
+    bounded("flow_decay_rate", worst["flow_decay_rate"], VERIFY_TIGHT)
     bounded("rate_operator_eigenstate", worst["rate_operator_eigenstate"], VERIFY_TOL)
     bounded("modified_rate_annihilates_state", worst["modified_rate_annihilates_state"], VERIFY_TOL)
     bounded("modified_rate_trace_sum_rule", worst["modified_rate_trace_sum_rule"], VERIFY_TOL)

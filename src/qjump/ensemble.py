@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._batch import run_batch
+from ._flow import compile_flow, rk4_step
 from ._io import fmt, write_lines
 from .errors import DimensionMismatch, EmptyEnsemble, PositivityLost
 from .generator import GeneratorSpec, apply_generator
 from .linalg import as_operator, as_state, hermiticity_defect, normalize, outer, trace_distance
-from .trajectory import GRID_TOL, TrajectoryConfig, deterministic_step
+from .trajectory import GRID_TOL, TrajectoryConfig
 from .unraveling import jump_channels
 
 TRACE_DRIFT_TOL = 1e-12
@@ -99,13 +100,15 @@ def master_step(spec: GeneratorSpec, rho: np.ndarray, dt: float) -> np.ndarray:
     k3 = apply_generator(spec, rho + (0.5 * dt) * k2)
     k4 = apply_generator(spec, rho + dt * k3)
     out = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    # each guard is a negated in-bounds test so that NaN and inf fail it
     drift = abs(complex(np.trace(out)) - complex(np.trace(rho)))
-    if drift > TRACE_DRIFT_TOL:
+    if not (drift <= TRACE_DRIFT_TOL):
         raise PositivityLost(f"master step changed the trace by {drift:.3e}")
-    if hermiticity_defect(out) > HERMITICITY_DRIFT_TOL:
-        raise PositivityLost(f"master step broke hermiticity by {hermiticity_defect(out):.3e}")
+    defect = hermiticity_defect(out)
+    if not (defect <= HERMITICITY_DRIFT_TOL):
+        raise PositivityLost(f"master step broke hermiticity by {defect:.3e}")
     low = float(np.min(np.linalg.eigvalsh(0.5 * (out + out.conj().T))))
-    if low < EIGENVALUE_ERROR_TOL:
+    if not (low >= EIGENVALUE_ERROR_TOL):
         raise PositivityLost(f"master step produced eigenvalue {low:.3e} < {EIGENVALUE_ERROR_TOL:.1e}")
     return out
 
@@ -145,7 +148,7 @@ def single_step_equivalence_test(spec: GeneratorSpec, psi: np.ndarray, eps: floa
     proj = outer(psi)
     rho_a = proj + eps * apply_generator(spec, proj)
     report = jump_channels(spec, psi)
-    evolved = deterministic_step(spec, psi, eps)
+    evolved = rk4_step(compile_flow(spec), psi, eps)
     rho_b = (1.0 - eps * report.total) * outer(evolved)
     for channel in report.channels:
         rho_b += (eps * channel.rate) * outer(channel.target)

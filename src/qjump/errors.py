@@ -26,7 +26,16 @@ class EmptyChannels(QJumpError):
 
 
 class StepTooLarge(QJumpError):
-    """A single deterministic step drifted too far from unit norm before renormalization."""
+    """A step is too large: its jump probability exceeds the ceiling, or the
+    deterministic step drifted too far from unit norm before renormalization.
+
+    column is the offending column of a state block when the step was taken
+    on a block, else None.
+    """
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 class PositivityLost(QJumpError):

@@ -8,6 +8,12 @@ random stream is a counter-based Philox generator keyed by
 (seed, trajectory_index), two uniforms per step, so any trajectory of an
 ensemble can be reproduced in isolation and ensembles need no
 coordination between trajectories.
+
+run_trajectory takes every step through _batch.jump_step, the step
+policy the ensemble engine uses, on a block of one column; it adds only
+the per-step observable series and the jump events.  Trajectory j run
+alone therefore makes the same jump decisions as trajectory j of an
+ensemble.
 """
 
 from __future__ import annotations
@@ -17,17 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._flow import compile_flow, rk4_step
+from ._batch import JUMP_PROB_WARN, jump_step, trajectory_rng
+from ._flow import compile_flow, rhs_block
 from ._io import fmt, write_lines
-from .errors import DimensionMismatch, EmptyChannels, StepTooLarge
+from .errors import DimensionMismatch
 from .generator import GeneratorSpec
 from .linalg import as_state, normalize, require_hermitian
-from .unraveling import RateReport, jump_channels, total_decay_rate
 
-JUMP_PROB_WARN = 0.1
-JUMP_PROB_MAX = 0.5
 GRID_TOL = 1e-9
-RATE_FLOOR_ABS = 1e-9
 
 
 @dataclass
@@ -87,79 +90,6 @@ class TrajectoryRecord:
     final_state: np.ndarray
 
 
-def trajectory_rng(seed: int, trajectory_index: int) -> np.random.Generator:
-    """Philox stream keyed by (seed, trajectory_index).
-
-    Counter-based, so streams for different indices are independent and
-    a single trajectory can be replayed without generating the others.
-    The key layout (seed first, index second) is part of the stable
-    on-disk reproducibility contract.
-    """
-    key = np.array([seed, trajectory_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def deterministic_step(spec: GeneratorSpec, psi: np.ndarray, dt: float) -> np.ndarray:
-    """One Runge-Kutta step of the no-jump flow, renormalized."""
-    return rk4_step(compile_flow(spec), as_state(psi), dt)
-
-
-def select_channel(report: RateReport, u2: float) -> int:
-    """Channel index chosen with probability rate / total by cumulative scan."""
-    rates = report.rates
-    if rates.size == 0:
-        raise EmptyChannels("cannot select a channel from an empty report")
-    threshold = u2 * float(rates.sum())
-    running = 0.0
-    for n, rate in enumerate(rates):
-        running += float(rate)
-        if threshold < running:
-            return n
-    return int(rates.size - 1)
-
-
-def maybe_jump(
-    spec: GeneratorSpec,
-    psi: np.ndarray,
-    dt: float,
-    u1: float,
-    u2: float,
-    time: float = 0.0,
-) -> tuple[np.ndarray, JumpEvent] | None:
-    """Bernoulli jump decision for one step.
-
-    Computes only the total decay rate (one generator application, no
-    eigendecomposition) unless the jump actually fires; the channel
-    eigenproblem is solved lazily.  Returns None when no jump occurs.
-    """
-    psi = as_state(psi)
-    w = total_decay_rate(spec, psi)
-    prob = w * dt
-    if prob > JUMP_PROB_MAX:
-        raise StepTooLarge(f"jump probability {prob:.3f} per step exceeds {JUMP_PROB_MAX}; reduce dt")
-    if prob > JUMP_PROB_WARN:
-        warnings.warn(
-            f"jump probability {prob:.3f} per step exceeds {JUMP_PROB_WARN}: discretization bias is first order in dt",
-            stacklevel=2,
-        )
-    if u1 >= prob:
-        return None
-    report = jump_channels(spec, psi)
-    if not report.channels:
-        if w > RATE_FLOOR_ABS:
-            raise EmptyChannels(f"decay rate {w:.3e} but every channel was filtered out")
-        return None
-    idx = select_channel(report, u2)
-    channel = report.channels[idx]
-    event = JumpEvent(
-        time=float(time),
-        channel_rate=channel.rate,
-        pre_state_norm_check=float(np.linalg.norm(psi)),
-        target_index=idx,
-    )
-    return channel.target.copy(), event
-
-
 def run_trajectory(spec: GeneratorSpec, psi0: np.ndarray, cfg: TrajectoryConfig) -> TrajectoryRecord:
     """Evolve one trajectory on the configured grid.
 
@@ -184,17 +114,25 @@ def run_trajectory(spec: GeneratorSpec, psi0: np.ndarray, cfg: TrajectoryConfig)
             series[name][step] = float(np.vdot(state, cfg.observables[name] @ state).real)
 
     jumps: list[JumpEvent] = []
+    block = psi[:, None]
+    evaluation = rhs_block(flow, block, want_rate=True)
+    warned = False
     record(0, psi)
     for i in range(n):
-        u1, u2 = rng.random(2)
-        outcome = maybe_jump(spec, psi, cfg.dt, u1, u2, time=(i + 1) * cfg.dt)
-        if outcome is None:
-            psi = rk4_step(flow, psi, cfg.dt)
-        else:
-            psi, event = outcome
-            jumps.append(event)
-        record(i + 1, psi)
-    return TrajectoryRecord(times=cfg.times, observables=series, jumps=jumps, final_state=psi)
+        u = rng.random((2, 1))
+        nxt, evaluation, prob, fired = jump_step(spec, flow, block, evaluation, cfg.dt, u, i, cfg.trajectory_index)
+        if prob > JUMP_PROB_WARN and not warned:
+            warnings.warn(
+                f"trajectory {cfg.trajectory_index} at t={(i + 1) * cfg.dt:.12g}: jump probability {prob:.3f} per step exceeds {JUMP_PROB_WARN}: discretization bias is first order in dt",
+                stacklevel=2,
+            )
+            warned = True
+        for _, rate, chosen in fired:
+            pre_norm = float(np.linalg.norm(block[:, 0]))
+            jumps.append(JumpEvent(time=(i + 1) * cfg.dt, channel_rate=rate, pre_state_norm_check=pre_norm, target_index=chosen))
+        block = nxt
+        record(i + 1, block[:, 0])
+    return TrajectoryRecord(times=cfg.times, observables=series, jumps=jumps, final_state=block[:, 0])
 
 
 def write_event_log(record: TrajectoryRecord, path: str) -> None:

@@ -59,7 +59,7 @@ class RateReport:
 def _require_unit(psi: np.ndarray) -> np.ndarray:
     psi = as_state(psi)
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > NORM_TOL:
+    if not (abs(norm - 1.0) <= NORM_TOL):
         raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL:.1e}")
     return psi
 
@@ -76,6 +76,11 @@ def total_decay_rate(spec: GeneratorSpec, psi: np.ndarray) -> float:
     below zero; values in [-1e-10, 0) are clamped to 0, anything lower is
     reported as an error because it signals a generator whose coefficient
     matrix is not positive semidefinite.
+
+    This is the reference route, through the projector image at O(d^3)
+    per call.  The engines read the same number off the compiled flow
+    (_flow.rhs_block with want_rate=True); the tests and ``qjump verify``
+    compare the two routes.
     """
     psi = _require_unit(psi)
     w = -float(expectation(generator_on_projector(spec, psi), psi).real)

@@ -62,6 +62,7 @@ def test_verify_passes_and_prints_report(tmp_path, capsys):
     assert main(["verify", "--config", write_config(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "[PASS] single_step_order_ratio" in out
+    assert "[PASS] flow_decay_rate" in out
     assert "[PASS] closed_form_rate_operator" in out
     assert "[FAIL]" not in out
     assert "checks passed" in out

@@ -81,6 +81,15 @@ def test_master_step_unitary_accuracy():
     assert np.max(np.abs(stepped - exact)) < 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_master_step_rejects_non_finite_density(bad):
+    for entry in ((0, 0), (0, 1)):
+        rho = outer(E0_2)
+        rho[entry] = bad
+        with pytest.raises(PositivityLost), np.errstate(invalid="ignore"):
+            master_step(FLIP, rho, 1e-2)
+
+
 def test_master_step_rejects_oversized_step():
     with pytest.raises(PositivityLost):
         master_evolve(OSC, outer(fock_state(20, 0)), 0.8, 10, (10,))
@@ -102,27 +111,31 @@ def test_single_step_equivalence_residual_and_order():
 
 
 def test_engine_matches_single_trajectory_runner():
-    # same Philox streams, same stage polynomial: per-trajectory agreement
+    # same Philox streams, same step policy: identical jump logs and
+    # per-trajectory agreement of the final states.  From fock(4) the
+    # decay rate is 4.5, so the logs are not empty.
     n_steps = 400
-    batch = run_batch(
-        OSC,
-        fock_state(20, 0),
-        1e-3,
-        n_steps,
-        3,
-        31,
-        snapshot_steps=(n_steps,),
-        keep_final=True,
-        record_jumps=True,
-    )
-    jump_counts = np.zeros(3, dtype=int)
-    for traj, _, _, _ in batch.jump_log:
-        jump_counts[traj] += 1
-    for idx in range(3):
-        cfg = TrajectoryConfig(dt=1e-3, t_final=0.4, seed=31, trajectory_index=idx)
-        record = run_trajectory(OSC, fock_state(20, 0), cfg)
-        assert len(record.jumps) == jump_counts[idx]
-        assert np.max(np.abs(batch.final_states[:, idx] - record.final_state)) < 1e-9
+    for level in (0, 4):
+        psi0 = fock_state(20, level)
+        batch = run_batch(
+            OSC,
+            psi0,
+            1e-3,
+            n_steps,
+            3,
+            31,
+            snapshot_steps=(n_steps,),
+            keep_final=True,
+            record_jumps=True,
+        )
+        assert bool(batch.jump_log) == (level > 0)
+        for idx in range(3):
+            cfg = TrajectoryConfig(dt=1e-3, t_final=0.4, seed=31, trajectory_index=idx)
+            record = run_trajectory(OSC, psi0, cfg)
+            engine_log = [(time, channel) for traj, time, _, channel in batch.jump_log if traj == idx]
+            assert [(event.time, event.target_index) for event in record.jumps] == engine_log
+            assert all(event.pre_state_norm_check == pytest.approx(1.0, abs=1e-12) for event in record.jumps)
+            assert np.max(np.abs(batch.final_states[:, idx] - record.final_state)) < 1e-9
 
 
 def test_engine_reduction_independent_of_thread_count():

@@ -7,21 +7,22 @@ discretization of the per-step Bernoulli trial.  That makes it the one
 model where the waiting-time distribution has a clean reference.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from qjump._batch import run_batch
-from qjump.errors import DimensionMismatch, EmptyChannels, StepTooLarge
+from qjump import _batch, _flow, trajectory
+from qjump._batch import jump_step, run_batch, select_channel
+from qjump._flow import compile_flow, rhs_block, rk4_step, rk4_step_block
+from qjump.errors import DimensionMismatch, EmptyChannels, NegativeRate, StepTooLarge
 from qjump.generator import GeneratorSpec
 from qjump.oscillator import OscillatorParams, fock_state, oscillator_generator
 from qjump.trajectory import (
     JumpEvent,
     TrajectoryConfig,
-    deterministic_step,
-    maybe_jump,
     run_trajectory,
-    select_channel,
     trajectory_rng,
     write_event_log,
 )
@@ -36,6 +37,30 @@ E0_2 = np.array([1.0, 0.0], dtype=np.complex128)
 
 def flip_config(dt=1e-3, t_final=1.0, seed=42, index=0):
     return TrajectoryConfig(dt=dt, t_final=t_final, seed=seed, trajectory_index=index)
+
+
+def policy_step(spec, psi, dt, u, step=0, first=0):
+    """One step of the shared jump policy on a (d, M) block: (next block, largest probability, jumps)."""
+    flow = compile_flow(spec)
+    evaluation = rhs_block(flow, psi, want_rate=True)
+    psi_next, _, prob, jumps = jump_step(spec, flow, psi, evaluation, dt, u, step, first)
+    return psi_next, prob, jumps
+
+
+def step_once(spec, psi, dt, u1, u2):
+    """One step of the shared jump policy on a single state: (next state, largest probability, jumps)."""
+    psi_next, prob, jumps = policy_step(spec, psi[:, None], dt, np.array([[u1], [u2]]))
+    return psi_next[:, 0], prob, jumps
+
+
+def forced_uniforms(monkeypatch, u1, u2):
+    """Make run_trajectory draw the pair (u1, u2) on every step."""
+
+    class Fixed:
+        def random(self, shape):
+            return np.reshape([u1, u2], shape)
+
+    monkeypatch.setattr(trajectory, "trajectory_rng", lambda seed, index: Fixed())
 
 
 def test_config_validation():
@@ -102,24 +127,65 @@ def test_dimension_mismatch_rejected():
         run_trajectory(FLIP, E0_2, TrajectoryConfig(dt=0.1, t_final=1.0, seed=0, observables=bad_obs))
 
 
-def test_maybe_jump_bernoulli_contract():
+def test_maybe_jump_bernoulli_contract(monkeypatch):
     # ground state decays at w = 1/2, so prob = 5e-4 at dt = 1e-3
     psi = fock_state(20, 0)
-    assert maybe_jump(OSC, psi, 1e-3, u1=5.1e-4, u2=0.5) is None
-    outcome = maybe_jump(OSC, psi, 1e-3, u1=4.9e-4, u2=0.5, time=0.125)
-    assert outcome is not None
-    target, event = outcome
+    _, _, jumps = step_once(OSC, psi, 1e-3, u1=5.1e-4, u2=0.5)
+    assert jumps == []
+    target, _, jumps = step_once(OSC, psi, 1e-3, u1=4.9e-4, u2=0.5)
     assert abs(np.vdot(fock_state(20, 1), target)) >= 1.0 - 1e-10
-    assert event == JumpEvent(time=0.125, channel_rate=event.channel_rate, pre_state_norm_check=1.0, target_index=0)
+    assert jumps == [(0, jumps[0][1], 0)]
+    assert jumps[0][1] == pytest.approx(0.5, abs=1e-10)
+    # the same draws through run_trajectory, whose event carries the time
+    # the step lands on and the norm of the state it jumped from
+    cfg = TrajectoryConfig(dt=1e-3, t_final=1e-3, seed=0)
+    forced_uniforms(monkeypatch, 5.1e-4, 0.5)
+    assert run_trajectory(OSC, psi, cfg).jumps == []
+    forced_uniforms(monkeypatch, 4.9e-4, 0.5)
+    record = run_trajectory(OSC, psi, cfg)
+    assert abs(np.vdot(fock_state(20, 1), record.final_state)) >= 1.0 - 1e-10
+    (event,) = record.jumps
+    assert event == JumpEvent(time=1e-3, channel_rate=event.channel_rate, pre_state_norm_check=1.0, target_index=0)
     assert event.channel_rate == pytest.approx(0.5, abs=1e-10)
 
 
-def test_maybe_jump_probability_guards():
+def test_maybe_jump_probability_guards(monkeypatch):
     psi = fock_state(20, 9)  # w = 2 * 0.5 * 19/2 = 9.5
-    with pytest.warns(UserWarning):
-        assert maybe_jump(OSC, psi, 0.02, u1=0.99, u2=0.5) is None
+    _, prob, jumps = step_once(OSC, psi, 0.02, u1=0.99, u2=0.5)
+    assert prob == pytest.approx(0.19, rel=1e-9)
+    assert jumps == []
     with pytest.raises(StepTooLarge):
-        maybe_jump(OSC, psi, 0.06, u1=0.99, u2=0.5)
+        step_once(OSC, psi, 0.06, u1=0.99, u2=0.5)
+    forced_uniforms(monkeypatch, 0.99, 0.5)
+    with pytest.warns(UserWarning, match="trajectory 0 at t=0.02: jump probability 0.190"):
+        record = run_trajectory(OSC, psi, TrajectoryConfig(dt=0.02, t_final=0.02, seed=0))
+    assert record.jumps == []
+    with pytest.raises(StepTooLarge):
+        run_trajectory(OSC, psi, TrajectoryConfig(dt=0.06, t_final=0.06, seed=0))
+
+
+def count_warnings(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, len([w for w in caught if issubclass(w.category, UserWarning)])
+
+
+def test_trajectory_warns_once_per_run():
+    # the flip model's rate is 1 everywhere, so every step of 0.2 is above the threshold
+    record, n_warnings = count_warnings(lambda: run_trajectory(FLIP, E0_2, flip_config(dt=0.2, t_final=1.0)))
+    assert len(record.times) == 6
+    assert n_warnings == 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batch_warns_once_per_run(monkeypatch, threads):
+    monkeypatch.setattr(_batch, "CHUNK", 4)
+    result, n_warnings = count_warnings(
+        lambda: run_batch(FLIP, E0_2, 0.2, 5, 8, 3, snapshot_steps=(5,), threads=threads)
+    )
+    assert result.max_jump_prob == pytest.approx(0.2)
+    assert n_warnings == 1
 
 
 def test_select_channel_cumulative_scan():
@@ -141,7 +207,103 @@ def test_select_channel_cumulative_scan():
 def test_oversized_step_rejected_by_norm_drift():
     psi = fock_state(20, 0)
     with pytest.raises(StepTooLarge):
-        deterministic_step(OSC, psi, 5.0)
+        rk4_step(compile_flow(OSC), psi, 5.0)
+    with pytest.raises(StepTooLarge):
+        step_once(OSC, psi, 5.0, u1=0.99, u2=0.5)
+    # zero decay rate, so the jump-probability guard passes and the
+    # Runge-Kutta step's norm-drift guard is what rejects the step
+    unitary = oscillator_generator(OscillatorParams(levels=8, d22=0.0))
+    block = np.repeat(((fock_state(8, 0) + fock_state(8, 3)) / np.sqrt(2.0))[:, None], 3, axis=1)
+    with pytest.raises(StepTooLarge, match="trajectory 7 at t=10:") as info:
+        policy_step(unitary, block, 5.0, np.full((2, 3), 0.5), step=1, first=7)
+    assert info.value.column == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_column_is_rejected(bad):
+    block = np.repeat(fock_state(20, 0)[:, None], 3, axis=1)
+    block[4, 1] = bad
+    flow = compile_flow(OSC)
+    with pytest.raises(StepTooLarge) as info, np.errstate(invalid="ignore"):
+        rk4_step_block(flow, block, 1e-3)
+    assert info.value.column == 1
+    # the rate of the bad column is NaN, so the jump-probability guard trips
+    with pytest.raises(StepTooLarge, match="trajectory 11 at t=0.003: jump probability nan"):
+        with np.errstate(invalid="ignore"):
+            policy_step(OSC, block, 1e-3, np.full((2, 3), 0.5), step=2, first=10)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf])
+def test_non_finite_jump_probability_is_rejected(dt):
+    # w = 0.5 from the ground state, so the probability w dt is nan or inf
+    with pytest.raises(StepTooLarge, match="jump probability"):
+        step_once(OSC, fock_state(20, 0), dt, u1=0.99, u2=0.5)
+
+
+# Error location.  Under seed 33, with chunks of 4 columns, 8 flip-model
+# trajectories and jump probability 0.05 per step, no trajectory of chunk 0
+# jumps within 6 steps and the first jump is trajectory 5 (chunk 1, column
+# 1) on step 1.  The batch engine must report the chunk offset plus the
+# column, and the time the failing step lands on.
+LOC_DT, LOC_STEPS, LOC_SEED = 0.05, 6, 33
+
+
+def first_jump():
+    """(trajectory, step) of the first jump in the engine's order: chunk, step, column."""
+    for lo in (0, 4):
+        u = np.stack([trajectory_rng(LOC_SEED, k).random((LOC_STEPS, 2))[:, 0] for k in range(lo, lo + 4)], axis=1)
+        steps, cols = np.nonzero(u < LOC_DT)
+        if steps.size:
+            return lo + int(cols[0]), int(steps[0])
+    raise AssertionError("no jump")
+
+
+def run_located(monkeypatch, error):
+    monkeypatch.setattr(_batch, "CHUNK", 4)
+    with pytest.raises(error) as info:
+        run_batch(FLIP, E0_2, LOC_DT, LOC_STEPS, 8, LOC_SEED, snapshot_steps=(LOC_STEPS,), threads=1)
+    return str(info.value)
+
+
+def rate_after_jump(monkeypatch, value):
+    """Make the flow report rate `value` for every column that has jumped to |1>."""
+    real = _flow.rhs_block
+
+    def fake(flow, psi, want_rate=False):
+        rhs, rate = real(flow, psi, want_rate)
+        if want_rate:
+            rate = np.where(np.abs(psi[1]) > 0.5, value, rate)
+        return rhs, rate
+
+    monkeypatch.setattr(_flow, "rhs_block", fake)
+
+
+def test_empty_channels_error_names_trajectory_and_time(monkeypatch):
+    traj, step = first_jump()
+    assert (traj, step) == (5, 1)
+    monkeypatch.setattr(_batch, "jump_channels", lambda spec, psi: _batch.RateReport(total=1.0, channels=[]))
+    message = run_located(monkeypatch, EmptyChannels)
+    assert f"trajectory {traj} at t={(step + 1) * LOC_DT:.12g}:" in message
+    # the single-trajectory engine names the same place
+    cfg = TrajectoryConfig(dt=LOC_DT, t_final=LOC_DT * LOC_STEPS, seed=LOC_SEED, trajectory_index=traj)
+    with pytest.raises(EmptyChannels) as info:
+        run_trajectory(FLIP, E0_2, cfg)
+    assert f"trajectory {traj} at t={(step + 1) * LOC_DT:.12g}:" in str(info.value)
+
+
+def test_negative_rate_error_names_trajectory_and_time(monkeypatch):
+    traj, step = first_jump()
+    rate_after_jump(monkeypatch, -1.0)
+    message = run_located(monkeypatch, NegativeRate)
+    # the jump lands on step + 1, the failing step after it on step + 2
+    assert f"trajectory {traj} at t={(step + 2) * LOC_DT:.12g}:" in message
+
+
+def test_step_too_large_error_names_trajectory_and_time(monkeypatch):
+    traj, step = first_jump()
+    rate_after_jump(monkeypatch, 100.0)
+    message = run_located(monkeypatch, StepTooLarge)
+    assert f"trajectory {traj} at t={(step + 2) * LOC_DT:.12g}:" in message
 
 
 def first_waits(dt, t_final, n_traj, seed):

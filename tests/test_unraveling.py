@@ -8,7 +8,7 @@ fock(n) at rate 2 D22 sigma_xx with sigma_xx = (2n+1)/2 in natural units.
 import numpy as np
 import pytest
 
-from qjump._flow import compile_flow, flow_rhs
+from qjump._flow import compile_flow, flow_rhs, rhs_block
 from qjump.generator import GeneratorSpec, random_hermitian
 from qjump.linalg import expectation, normalize, orthonormal_completion, outer
 from qjump.oscillator import OscillatorParams, fock_state, oscillator_generator
@@ -42,6 +42,30 @@ def random_spec(dim, n_couplings, rng):
         couplings=coups,
         coeff=raw @ raw.conj().T,
     )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FLIP,
+        OSC_SPEC,
+        oscillator_generator(OscillatorParams(levels=20, d11=0.3, d22=0.5, re_d12=0.1, im_d12=0.05)),
+    ],
+    ids=["flip", "diffusion-only", "full-rank"],
+)
+def test_flow_rate_matches_reference_route(spec):
+    # both engines take w from the compiled flow; total_decay_rate is the
+    # reference route.  Im D12 != 0 in the full-rank model exercises the
+    # E_ab cross terms of the flow rate.
+    rng = np.random.default_rng(11)
+    flow = compile_flow(spec)
+    states = np.stack([random_state(spec.dim, rng) for _ in range(20)], axis=1)
+    _, rates = rhs_block(flow, states, want_rate=True)
+    for j in range(states.shape[1]):
+        w = total_decay_rate(spec, states[:, j])
+        assert abs(rates[j] - w) <= 1e-12 * max(1.0, w)
+        _, single = rhs_block(flow, states[:, j : j + 1], want_rate=True)
+        assert abs(single[0] - w) <= 1e-12 * max(1.0, w)
 
 
 def test_flip_model_rate():
