@@ -42,7 +42,6 @@ from .generator import (
 from .linalg import (
     expectation,
     fix_phase,
-    hermitian_eigendecomposition,
     hermiticity_defect,
     normalize,
     outer,
@@ -115,7 +114,6 @@ __all__ = [
     "fock_state",
     "frictional_rhs",
     "hasse_defect",
-    "hermitian_eigendecomposition",
     "hermiticity_defect",
     "jump_channels",
     "master_evolve",

@@ -17,13 +17,26 @@ jump replacing the whole step.  Each state's flow evaluation is computed
 once and carried into the next step, where it gives both w and the first
 Runge-Kutta stage.  Jumps are rare, so the channel eigenproblem is
 solved per jumping column only.
+
+The worker threads are the engine's only parallelism.  For the duration
+of run_batch (and of ensemble.run_ensemble, which includes the oracle
+and the jackknife) numpy's OpenBLAS is lowered to one thread,
+process-wide, whatever the worker count: threaded BLAS under threaded
+workers oversubscribes the cores, and a BLAS thread count that follows
+the machine would make output bytes follow it too.  Where numpy's BLAS
+is not an OpenBLAS this module can reach (MKL, Accelerate, no
+/proc/self/maps), BLAS threading is left as found.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +51,82 @@ CHUNK = 1024
 JUMP_PROB_WARN = 0.1
 JUMP_PROB_MAX = 0.5
 RATE_FLOOR_ABS = 1e-9
+
+
+# (get, set) symbol names of the OpenBLAS thread count: the scipy-openblas
+# builds numpy's wheels bundle (64-bit and 32-bit integer), then a plain
+# system OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _numpy_openblas() -> tuple | None:
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    Looks through the libraries mapped into this process for an OpenBLAS
+    that is numpy's: one numpy's wheel bundles (numpy.libs/) or a system
+    one, but not a copy another wheel bundles for itself (scipy.libs/),
+    which numpy never calls.  RTLD_NOLOAD binds to the mapped library and
+    never loads a second copy.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            paths = sorted({f[5].strip() for f in (line.split(None, 5) for line in maps) if len(f) == 6})
+    except OSError:
+        return None
+    for path in paths:
+        home = os.path.basename(os.path.dirname(path))
+        if "openblas" not in path.lower() or (home.endswith(".libs") and home != "numpy.libs"):
+            continue
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 1
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the body with numpy's OpenBLAS at one thread; restore its count after.
+
+    Entries are counted under a lock, so overlapping or nested uses (two
+    runs from two threads, run_batch inside run_ensemble) restore the
+    count when the last one leaves.  Does nothing where _numpy_openblas
+    finds no library.
+    """
+    global _pin_depth, _pin_saved
+    api = _numpy_openblas()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)
 
 
 def trajectory_rng(seed: int, trajectory_index: int) -> np.random.Generator:
@@ -138,8 +227,15 @@ def jump_step(
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Map the user-facing thread count to a worker count (0 or None = auto)."""
+    """Map the user-facing thread count to a worker count.
+
+    0 or None means all cores this process may use: its CPU affinity
+    mask where the platform has one (a CPU-restricted container), else
+    os.cpu_count().
+    """
     if threads is None or threads == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         return max(1, os.cpu_count() or 1)
     if threads < 0:
         raise ValueError(f"thread count must be nonnegative, got {threads}")
@@ -171,6 +267,7 @@ class _ChunkPartial:
     final_states: np.ndarray | None
 
 
+@single_blas_thread()
 def run_batch(
     spec: GeneratorSpec,
     psi0: np.ndarray,

@@ -4,10 +4,13 @@
     qjump trajectory --config model.cfg [--out DIR] [--seed S]
     qjump ensemble   --config model.cfg [--out DIR] [--seed S] [--threads N]
 
---threads 0 (the default) uses all available cores; the environment
-variable QJUMP_THREADS supplies a default when the flag is absent.
-Outputs are CSV with a header row and 17 significant digits, and are
-byte-identical across reruns and thread counts for the same config.
+--threads 0 (the default) uses all cores this process may use; the
+environment variable QJUMP_THREADS supplies a default when the flag is
+absent.  Ensemble runs keep numpy's OpenBLAS at one thread, so the
+worker threads are the only parallelism.  Outputs are CSV with a header
+row and 17 significant digits, and are byte-identical across reruns and
+thread counts for the same config; ensemble outputs also across BLAS
+thread settings.
 """
 
 from __future__ import annotations
@@ -250,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads for ensemble runs; 0 means all cores (default, or QJUMP_THREADS)",
+            help="worker threads for ensemble runs; 0 means all cores this process may use (default, or QJUMP_THREADS)",
         )
     return parser
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import run_batch
+from ._batch import run_batch, single_blas_thread
 from ._flow import compile_flow, rk4_step
 from ._io import fmt, write_lines
 from .errors import DimensionMismatch, EmptyEnsemble, PositivityLost
@@ -179,6 +179,7 @@ def _jackknife_errors(
     return errors
 
 
+@single_blas_thread()
 def run_ensemble(
     spec: GeneratorSpec,
     psi0: np.ndarray,
@@ -190,7 +191,8 @@ def run_ensemble(
     Trajectory indices run from 0 to n_trajectories - 1 under the
     configured seed (the base trajectory_index is ignored here).  The
     result is deterministic for fixed (spec, psi0, cfg) regardless of
-    the thread count.
+    the thread count.  Like run_batch, the whole call, oracle and
+    jackknife included, runs with numpy's OpenBLAS at one thread.
     """
     psi0 = normalize(as_state(psi0))
     base = cfg.base

@@ -75,20 +75,28 @@ def expectation(operator: np.ndarray, state: np.ndarray) -> complex:
     return complex(np.vdot(state, operator @ state))
 
 
+def _fix_phases(vecs: np.ndarray) -> np.ndarray:
+    """Rescale each column of vecs by a unit phase that makes its anchor real positive.
+
+    The anchor is the first entry with modulus above PHASE_TOL times the
+    column's largest modulus; an all-zero column is left as it is.
+    """
+    mags = np.abs(vecs)
+    top = mags.max(axis=0, initial=0.0)
+    anchor = vecs[np.argmax(mags > PHASE_TOL * top, axis=0), np.arange(vecs.shape[1])]
+    anchor[top == 0.0] = 1.0
+    # np.hypot is the modulus abs() gives a complex scalar; np.abs on an
+    # array may differ from it in the last bit
+    return vecs * (np.hypot(anchor.real, anchor.imag) / anchor)
+
+
 def fix_phase(vec: np.ndarray) -> np.ndarray:
     """Rescale a vector by a unit phase so its first significant amplitude is real positive.
 
     The first entry with modulus above PHASE_TOL times the largest modulus
     anchors the phase.  Used to make eigenvector output reproducible.
     """
-    vec = as_state(vec)
-    mags = np.abs(vec)
-    top = float(mags.max(initial=0.0))
-    if top == 0.0:
-        return vec.copy()
-    idx = int(np.argmax(mags > PHASE_TOL * top))
-    anchor = vec[idx]
-    return vec * (abs(anchor) / anchor)
+    return _fix_phases(as_state(vec)[:, None])[:, 0]
 
 
 def eigh_phase_fixed(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -97,31 +105,25 @@ def eigh_phase_fixed(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.
     Returns (w, V) with w ascending and V[:, n] the eigenvector for w[n].
     Each eigenvector has its first significant amplitude made real
     positive, and exact eigenvalue ties are ordered by lexicographic
-    comparison of the phase-fixed vectors, so identical input yields
-    identical output.
+    comparison of the phase-fixed vectors (real, imaginary, real, ... of
+    entry 0, 1, ...), so identical input yields identical output.
     """
     mat = require_hermitian(mat, tol=tol, name="eigendecomposition input")
     w, v = np.linalg.eigh(mat)
-    cols = [fix_phase(v[:, n]) for n in range(v.shape[1])]
-
-    def key(n: int) -> tuple:
-        c = cols[n]
-        return (w[n],) + tuple(np.column_stack([c.real, c.imag]).ravel())
-
-    order = sorted(range(len(cols)), key=key)
-    w_out = w[order].astype(np.float64)
-    v_out = np.column_stack([cols[n] for n in order])
-    return w_out, v_out
-
-
-def hermitian_eigendecomposition(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> list[tuple[float, np.ndarray]]:
-    """Eigenpairs of a Hermitian matrix as a list of (eigenvalue, eigenvector).
-
-    Thin wrapper over eigh_phase_fixed, which documents the ordering and
-    phase conventions.
-    """
-    w, v = eigh_phase_fixed(mat, tol=tol)
-    return [(float(w[n]), v[:, n]) for n in range(w.shape[0])]
+    v = _fix_phases(v)
+    # eigh returns w ascending, so only runs of exactly equal eigenvalues need ordering
+    edges = np.flatnonzero(w[1:] != w[:-1]) + 1
+    if edges.size + 1 < w.size:
+        order = np.arange(w.size)
+        bounds = np.concatenate(([0], edges, [w.size]))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi - lo > 1:
+                run = v[:, lo:hi]
+                keys = np.stack([run.real, run.imag], axis=1).reshape(-1, hi - lo)
+                # lexsort takes its primary key last
+                order[lo:hi] = lo + np.lexsort(keys[::-1])
+        w, v = w[order], v[:, order]
+    return w, v
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

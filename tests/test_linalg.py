@@ -8,7 +8,6 @@ from qjump.linalg import (
     eigh_phase_fixed,
     expectation,
     fix_phase,
-    hermitian_eigendecomposition,
     hermiticity_defect,
     normalize,
     orthonormal_completion,
@@ -28,13 +27,13 @@ def random_density(dim, rng):
 
 def test_pauli_x_eigenpairs():
     # spectrum {-1, +1}, eigenvectors (1, -1)/sqrt(2) and (1, 1)/sqrt(2)
-    pairs = hermitian_eigendecomposition(SX)
-    assert len(pairs) == 2
+    w, v = eigh_phase_fixed(SX)
+    assert w.shape == (2,)
     r = 1.0 / np.sqrt(2.0)
-    assert pairs[0][0] == pytest.approx(-1.0, abs=1e-14)
-    assert pairs[1][0] == pytest.approx(1.0, abs=1e-14)
-    assert np.allclose(pairs[0][1], [r, -r], atol=1e-14)
-    assert np.allclose(pairs[1][1], [r, r], atol=1e-14)
+    assert w[0] == pytest.approx(-1.0, abs=1e-14)
+    assert w[1] == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(v[:, 0], [r, -r], atol=1e-14)
+    assert np.allclose(v[:, 1], [r, r], atol=1e-14)
 
 
 def test_eigendecomposition_phase_anchor_is_real_positive():
@@ -62,11 +61,10 @@ def test_eigendecomposition_deterministic():
 
 def test_eigendecomposition_degenerate_is_deterministic():
     # exact ties are ordered by the phase-fixed vectors themselves
-    pairs = hermitian_eigendecomposition(np.eye(2, dtype=np.complex128))
-    again = hermitian_eigendecomposition(np.eye(2, dtype=np.complex128))
-    for (w_a, v_a), (w_b, v_b) in zip(pairs, again):
-        assert w_a == w_b
-        assert np.array_equal(v_a, v_b)
+    w_a, v_a = eigh_phase_fixed(np.eye(2, dtype=np.complex128))
+    w_b, v_b = eigh_phase_fixed(np.eye(2, dtype=np.complex128))
+    assert np.array_equal(w_a, w_b)
+    assert np.array_equal(v_a, v_b)
 
 
 @pytest.mark.parametrize("dim", [2, 5, 16, 64])
@@ -80,9 +78,65 @@ def test_eigendecomposition_round_trip(dim):
     assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-10
 
 
+def _reference_fix_phase(vec):
+    # reference: the phase fix one column at a time, with abs() of the complex scalar anchor
+    mags = np.abs(vec)
+    top = float(mags.max(initial=0.0))
+    if top == 0.0:
+        return vec.copy()
+    idx = int(np.argmax(mags > 1e-12 * top))
+    anchor = vec[idx]
+    return vec * (abs(anchor) / anchor)
+
+
+def _reference_eigh_phase_fixed(mat):
+    # per-column phase fix, then a sort of every column on (w, re, im, re, im, ...)
+    w, v = np.linalg.eigh(mat)
+    cols = [_reference_fix_phase(v[:, n]) for n in range(v.shape[1])]
+
+    def key(n):
+        c = cols[n]
+        return (w[n],) + tuple(np.column_stack([c.real, c.imag]).ravel())
+
+    order = sorted(range(len(cols)), key=key)
+    return w[order].astype(np.float64), np.column_stack([cols[n] for n in order])
+
+
+def _bitwise_test_matrices():
+    rng = np.random.default_rng(17)
+    for dim in (1, 2, 3, 5, 8, 20, 40):
+        for _ in range(10):
+            mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            mat = mat + mat.conj().T
+            yield mat
+            # a rotated spectrum with near-ties: roundoff splits the degenerate pairs
+            q, _ = np.linalg.qr(mat)
+            yield q @ np.diag(np.resize([1.0, 2.0], dim)) @ q.conj().T
+        yield np.eye(dim, dtype=np.complex128)
+        # repeated blocks and a diagonal with repeated entries: exact ties
+        half = mat[: max(1, dim // 2), : max(1, dim // 2)]
+        yield np.kron(np.eye(2), half)
+        yield np.kron(half, np.eye(3))
+        yield np.diag(np.resize([0.0, 1.0, -1.0], dim)).astype(np.complex128)
+
+
+def test_eigh_phase_fixed_bitwise_matches_per_column_reference():
+    n_ties = 0
+    for mat in _bitwise_test_matrices():
+        w_ref, v_ref = _reference_eigh_phase_fixed(mat)
+        w, v = eigh_phase_fixed(mat)
+        n_ties += int(np.any(w[1:] == w[:-1]))
+        assert w.tobytes() == w_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+        raw = np.linalg.eigh(mat)[1]
+        for n in range(raw.shape[1]):
+            assert fix_phase(raw[:, n]).tobytes() == _reference_fix_phase(raw[:, n]).tobytes()
+    assert n_ties > 20  # the exact-tie path ran
+
+
 def test_eigendecomposition_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
-        hermitian_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        eigh_phase_fixed(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_fix_phase_removes_global_phase():
