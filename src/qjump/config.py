@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import InvalidGenerator, ParseError, ValidationError
 from .generator import GeneratorSpec, validate_generator
-from .linalg import hermiticity_defect, normalize
+from .linalg import HERMITICITY_TOL, hermiticity_defect, normalize
 from .oscillator import (
     OscillatorParams,
     build_operators,
@@ -59,7 +59,7 @@ from .oscillator import (
     occupancy_tail,
     oscillator_generator,
 )
-from .trajectory import GRID_TOL
+from .trajectory import grid_step
 
 KNOWN_SECTIONS = ("model", "initial", "run", "observables", "output")
 BUILTIN_OBSERVABLES = ("x", "p", "number", "H0")
@@ -282,10 +282,11 @@ def _build_model(v: _Validator) -> tuple[GeneratorSpec | None, str, OscillatorPa
             return None, kind, None
         try:
             params = OscillatorParams(**kwargs)
+            spec = oscillator_generator(params)
         except InvalidGenerator as exc:
             v.error(v.section_line("model"), f"invalid damped_oscillator model: {exc}")
             return None, kind, None
-        return oscillator_generator(params), kind, params
+        return spec, kind, params
     if kind == "explicit":
         dim = v.typed("model", "dim", _int, "an integer", required=True)
         hbar = v.typed("model", "hbar", _float, "a real number", default=1.0)
@@ -304,25 +305,7 @@ def _build_model(v: _Validator) -> tuple[GeneratorSpec | None, str, OscillatorPa
         for n in range(1, count + 1):
             mat = _matrix(v, "model", f"coupling_{n}", dim, required=True)
             coups.append(mat)
-        coeff = None
-        if count:
-            coeff_entry = v.get("model", "coeff")
-            if coeff_entry is None:
-                v.error(v.section_line("model"), "[model] is missing required key 'coeff'")
-            else:
-                try:
-                    flat = _pairs(coeff_entry.value)
-                except ValueError as exc:
-                    v.error(coeff_entry.line, f"'coeff': {exc}")
-                    flat = None
-                if flat is not None:
-                    if flat.size != count * count:
-                        v.error(
-                            coeff_entry.line,
-                            f"'coeff': expected {count * count} re,im pairs for a {count}x{count} matrix, got {flat.size}",
-                        )
-                    else:
-                        coeff = flat.reshape(count, count)
+        coeff = _matrix(v, "model", "coeff", count, required=True) if count else None
         if ham is None or any(c is None for c in coups) or (count and coeff is None):
             return None, kind, None
         spec = GeneratorSpec(
@@ -444,7 +427,7 @@ def _build_observables(
         if mat is None:
             continue
         defect = hermiticity_defect(mat)
-        if defect > 1e-10:
+        if not (defect <= HERMITICITY_TOL):
             v.error(entry.line, f"observable {name!r} is not Hermitian (defect {defect:.3e})")
             continue
         out[name] = mat
@@ -474,8 +457,8 @@ def parse_config(text: str) -> RunConfig:
         v.error(v.get("run", "dt").line, f"dt must be positive, got {dt}")
         dt = None
     if dt is not None and t_final is not None:
-        steps = round(t_final / dt)
-        if t_final < dt or abs(steps * dt - t_final) > GRID_TOL * max(1.0, t_final):
+        steps = grid_step(t_final, dt)
+        if t_final < dt or steps is None:
             v.error(v.get("run", "t_final").line, f"t_final {t_final} is not a positive integer multiple of dt {dt}")
         else:
             n_steps = steps
@@ -488,8 +471,8 @@ def parse_config(text: str) -> RunConfig:
     elif dt is not None and n_steps is not None:
         seen_steps = set()
         for t in snapshots:
-            k = round(t / dt)
-            if abs(k * dt - t) > GRID_TOL * max(1.0, abs(t)) or not 0 <= k <= n_steps:
+            k = grid_step(t, dt)
+            if k is None or not 0 <= k <= n_steps:
                 v.error(v.get("run", "snapshot_times").line, f"snapshot time {t} is not on the dt={dt} grid")
             elif k in seen_steps:
                 v.error(v.get("run", "snapshot_times").line, f"snapshot time {t} repeats a grid point")

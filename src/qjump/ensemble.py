@@ -20,7 +20,7 @@ from ._io import fmt, write_lines
 from .errors import DimensionMismatch, EmptyEnsemble, PositivityLost
 from .generator import GeneratorSpec, apply_generator
 from .linalg import as_operator, as_state, hermiticity_defect, normalize, outer, trace_distance
-from .trajectory import GRID_TOL, TrajectoryConfig
+from .trajectory import TrajectoryConfig, grid_step
 from .unraveling import jump_channels
 
 TRACE_DRIFT_TOL = 1e-12
@@ -46,10 +46,10 @@ class EnsembleConfig:
             raise ValueError("need at least one snapshot time")
         steps = []
         for t in self.snapshot_times:
-            k = round(t / self.base.dt)
-            if abs(k * self.base.dt - t) > GRID_TOL * max(1.0, abs(t)) or not 0 <= k <= self.base.n_steps:
+            k = grid_step(t, self.base.dt)
+            if k is None or not 0 <= k <= self.base.n_steps:
                 raise ValueError(f"snapshot time {t!r} is not on the grid (dt {self.base.dt!r}, t_final {self.base.t_final!r})")
-            steps.append(int(k))
+            steps.append(k)
         if len(set(steps)) != len(steps):
             raise ValueError(f"snapshot times {self.snapshot_times} repeat a grid point")
         self._snapshot_steps = tuple(steps)

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidGenerator
-from .linalg import as_operator, hermiticity_defect
+from .linalg import HERMITICITY_TOL, as_operator, hermiticity_defect, lowest_eigenvalue
 
-HERMITICITY_TOL = 1e-10
 PSD_TOL = -1e-10
 
 
@@ -80,9 +79,10 @@ class GeneratorSpec:
         return len(self.couplings)
 
     def invariant_violation(self) -> str | None:
-        """First violated numeric invariant, or None if all hold."""
+        """The line of the first failing structural check, or None if all pass."""
         if not self._checked:
-            self._violation = _find_violation(self)
+            failed = [c for c in structural_checks(self) if not c.passed]
+            self._violation = failed[0].line() if failed else None
             self._checked = True
         return self._violation
 
@@ -90,24 +90,6 @@ class GeneratorSpec:
         msg = self.invariant_violation()
         if msg is not None:
             raise InvalidGenerator(msg)
-
-
-def _find_violation(spec: GeneratorSpec) -> str | None:
-    defect = hermiticity_defect(spec.hamiltonian)
-    if defect > HERMITICITY_TOL:
-        return f"hamiltonian is not Hermitian (defect {defect:.3e})"
-    for i, a in enumerate(spec.couplings):
-        defect = hermiticity_defect(a)
-        if defect > HERMITICITY_TOL:
-            return f"coupling {i + 1} is not Hermitian (defect {defect:.3e})"
-    if spec.n_couplings:
-        defect = hermiticity_defect(spec.coeff)
-        if defect > HERMITICITY_TOL:
-            return f"coefficient matrix is not Hermitian (defect {defect:.3e})"
-        low = float(np.min(np.linalg.eigvalsh(spec.coeff)))
-        if low < PSD_TOL:
-            return f"coefficient matrix is not positive semidefinite (min eigenvalue {low:.3e})"
-    return None
 
 
 def apply_generator(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
@@ -156,6 +138,17 @@ class CheckItem:
     value: float
     threshold: float
 
+    @classmethod
+    def at_most(cls, name: str, value: float, threshold: float) -> "CheckItem":
+        """A check that passes when value <= threshold; a NaN value fails."""
+        value = float(value)
+        return cls(name, value <= threshold, value, threshold)
+
+    @classmethod
+    def worst_of(cls, name: str, values: list[float], threshold: float) -> "CheckItem":
+        """at_most on the largest of nonnegative defects; a NaN among them fails."""
+        return cls.at_most(name, np.max(values, initial=0.0), threshold)
+
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] {self.name}: value {self.value:.3e} (threshold {self.threshold:.1e})"
@@ -175,41 +168,41 @@ class GeneratorReport:
         return "\n".join(c.line() for c in self.checks)
 
 
-def validate_generator(spec: GeneratorSpec, n_probes: int = 10, seed: int = 0) -> GeneratorReport:
-    """Check hermiticity and positivity invariants and probe trace freeness.
+def structural_checks(spec: GeneratorSpec) -> list[CheckItem]:
+    """Hermiticity of H, of each coupling and of D, then positivity of D.
 
-    The probe checks apply the generator to random Hermitian operators of
-    unit Frobenius norm and measure how far the images are from being
+    A non-finite entry fails its hermiticity check, and the positivity
+    check of a non-finite D reads NaN, so neither raises.
+    """
+    checks = [CheckItem.at_most("hamiltonian_hermitian", hermiticity_defect(spec.hamiltonian), HERMITICITY_TOL)]
+    for i, a in enumerate(spec.couplings):
+        checks.append(CheckItem.at_most(f"coupling_{i + 1}_hermitian", hermiticity_defect(a), HERMITICITY_TOL))
+    if spec.n_couplings:
+        checks.append(CheckItem.at_most("coeff_hermitian", hermiticity_defect(spec.coeff), HERMITICITY_TOL))
+        low = lowest_eigenvalue(spec.coeff)
+        checks.append(CheckItem("coeff_positive_semidefinite", low >= PSD_TOL, low, PSD_TOL))
+    return checks
+
+
+def validate_generator(spec: GeneratorSpec, n_probes: int = 10, seed: int = 0) -> GeneratorReport:
+    """Structural checks plus two probes of trace freeness and hermiticity.
+
+    The probes apply the generator to random Hermitian operators of unit
+    Frobenius norm and take the worst distance of the images from being
     trace free and Hermitian.  Works on strict=False specs so that broken
     input is diagnosed rather than rejected outright.
     """
-    checks: list[CheckItem] = []
-
-    def bounded(name: str, value: float, threshold: float) -> None:
-        checks.append(CheckItem(name, value <= threshold, value, threshold))
-
-    bounded("hamiltonian_hermitian", hermiticity_defect(spec.hamiltonian), HERMITICITY_TOL)
-    for i, a in enumerate(spec.couplings):
-        bounded(f"coupling_{i + 1}_hermitian", hermiticity_defect(a), HERMITICITY_TOL)
-    if spec.n_couplings:
-        bounded("coeff_hermitian", hermiticity_defect(spec.coeff), HERMITICITY_TOL)
-        low = float(np.min(np.linalg.eigvalsh(spec.coeff)))
-        checks.append(CheckItem("coeff_positive_semidefinite", low >= PSD_TOL, low, PSD_TOL))
-
     rng = np.random.default_rng(seed)
-    d = spec.dim
-    worst_trace = 0.0
-    worst_herm = 0.0
-    for _ in range(n_probes):
-        probe = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        probe = probe + probe.conj().T
-        probe /= np.linalg.norm(probe)
-        image = _apply(spec, probe)
-        worst_trace = max(worst_trace, abs(complex(np.trace(image))))
-        worst_herm = max(worst_herm, hermiticity_defect(image))
-    bounded("probe_trace_free", worst_trace, HERMITICITY_TOL)
-    bounded("probe_hermiticity_preserving", worst_herm, HERMITICITY_TOL)
-    return GeneratorReport(checks)
+    images = [_apply(spec, random_hermitian(spec.dim, rng)) for _ in range(n_probes)]
+    traces = [abs(complex(np.trace(image))) for image in images]
+    herms = [hermiticity_defect(image) for image in images]
+    return GeneratorReport(
+        structural_checks(spec)
+        + [
+            CheckItem.worst_of("probe_trace_free", traces, HERMITICITY_TOL),
+            CheckItem.worst_of("probe_hermiticity_preserving", herms, HERMITICITY_TOL),
+        ]
+    )
 
 
 def density_defects(rho: np.ndarray) -> dict[str, float]:

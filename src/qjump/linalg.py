@@ -47,9 +47,21 @@ def hermiticity_defect(mat: np.ndarray) -> float:
 def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
     mat = as_operator(mat)
     defect = hermiticity_defect(mat)
-    if defect > tol:
+    if not (defect <= tol):
         raise NonHermitianInput(f"{name} is not Hermitian: max |M - M^dagger| = {defect:.3e} > {tol:.1e}")
     return mat
+
+
+def lowest_eigenvalue(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix, NaN if an entry is not finite.
+
+    eigvalsh does not reject NaN input and may return finite numbers for
+    it, so non-finite input is caught before the call.
+    """
+    mat = as_operator(mat)
+    if not np.isfinite(mat).all():
+        return float("nan")
+    return float(np.min(np.linalg.eigvalsh(mat)))
 
 
 def normalize(psi: np.ndarray) -> np.ndarray:

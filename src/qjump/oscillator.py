@@ -22,12 +22,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DimensionMismatch, InvalidGenerator
-from .generator import GeneratorSpec
-from .linalg import as_state, fix_phase, normalize
+from .generator import PSD_TOL, GeneratorSpec
+from .linalg import as_state, fix_phase, lowest_eigenvalue, normalize
 from .unraveling import RateReport, JumpChannel, channels_from_rate_operator
 
 TRUNCATION_TOL = 1e-8
-PSD_TOL = -1e-10
 
 
 @dataclass
@@ -51,8 +50,8 @@ class OscillatorParams:
             value = getattr(self, name)
             if not value > 0.0:
                 raise InvalidGenerator(f"{name} must be positive, got {value!r}")
-        low = float(np.min(np.linalg.eigvalsh(self.coeff)))
-        if low < PSD_TOL:
+        low = lowest_eigenvalue(self.coeff)
+        if not (low >= PSD_TOL):
             raise InvalidGenerator(
                 f"diffusion matrix is not positive semidefinite (min eigenvalue {low:.3e})"
             )

@@ -18,6 +18,7 @@ ensemble.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,6 +32,17 @@ from .generator import GeneratorSpec
 from .linalg import as_state, normalize, require_hermitian
 
 GRID_TOL = 1e-9
+
+
+def grid_step(t: float, dt: float) -> int | None:
+    """Index k of the grid point k dt that t lies on, or None if t is off the dt grid."""
+    ratio = t / dt
+    if not math.isfinite(ratio):
+        return None
+    k = round(ratio)
+    if not (abs(k * dt - t) <= GRID_TOL * max(1.0, abs(t))):
+        return None
+    return k
 
 
 @dataclass
@@ -48,8 +60,7 @@ class TrajectoryConfig:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if self.t_final < self.dt:
             raise ValueError(f"t_final {self.t_final!r} must be at least dt {self.dt!r}")
-        steps = round(self.t_final / self.dt)
-        if abs(steps * self.dt - self.t_final) > GRID_TOL * max(1.0, self.t_final):
+        if grid_step(self.t_final, self.dt) is None:
             raise ValueError(f"t_final {self.t_final!r} is not an integer multiple of dt {self.dt!r}")
         for name, bound in (("seed", self.seed), ("trajectory_index", self.trajectory_index)):
             if int(bound) != bound or not 0 <= bound < 2**64:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NegativeRate
 from .generator import GeneratorSpec, apply_generator
-from .linalg import as_state, eigh_phase_fixed, expectation, outer
+from .linalg import as_state, eigh_phase_fixed, expectation, lowest_eigenvalue, outer
 
 RATE_CLAMP = 1e-10
 NEGATIVE_RATE_TOL = 1e-6
@@ -97,12 +97,7 @@ def transition_rate_operator(spec: GeneratorSpec, psi: np.ndarray) -> np.ndarray
     Satisfies W psi = -w psi and <phi| W |phi> equals the transition rate
     into any state phi orthogonal to psi.
     """
-    psi = _require_unit(psi)
-    proj = outer(psi)
-    image = apply_generator(spec, proj)
-    mean = float(expectation(image, psi).real)
-    w_op = image - image @ proj - proj @ image + (2.0 * mean) * proj
-    return 0.5 * (w_op + w_op.conj().T)
+    return _rate_matrix(spec, _require_unit(psi), 2.0)
 
 
 def modified_rate_operator(spec: GeneratorSpec, psi: np.ndarray) -> np.ndarray:
@@ -113,18 +108,22 @@ def modified_rate_operator(spec: GeneratorSpec, psi: np.ndarray) -> np.ndarray:
     NegativeRate if an eigenvalue falls below -1e-6, which indicates an
     invalid coefficient matrix rather than roundoff.
     """
-    w_op = _modified_rate_matrix(spec, _require_unit(psi))
-    low = float(np.min(np.linalg.eigvalsh(w_op)))
-    if low < -NEGATIVE_RATE_TOL:
+    w_op = _rate_matrix(spec, _require_unit(psi), 1.0)
+    low = lowest_eigenvalue(w_op)
+    if not (low >= -NEGATIVE_RATE_TOL):
         raise NegativeRate(f"modified rate operator has eigenvalue {low:.3e} < -{NEGATIVE_RATE_TOL:.1e}")
     return w_op
 
 
-def _modified_rate_matrix(spec: GeneratorSpec, psi: np.ndarray) -> np.ndarray:
+def _rate_matrix(spec: GeneratorSpec, psi: np.ndarray, weight: float) -> np.ndarray:
+    """Hermitian part of L[P] - {L[P], P} + weight <L> P around a unit psi.
+
+    weight 2 gives W and weight 1 gives W' = W + w P, since w = -<L>.
+    """
     proj = outer(psi)
     image = apply_generator(spec, proj)
     mean = float(expectation(image, psi).real)
-    w_op = image - image @ proj - proj @ image + mean * proj
+    w_op = image - image @ proj - proj @ image + (weight * mean) * proj
     return 0.5 * (w_op + w_op.conj().T)
 
 
@@ -162,8 +161,7 @@ def channels_from_rate_operator(w_op: np.ndarray, psi: np.ndarray) -> RateReport
 def jump_channels(spec: GeneratorSpec, psi: np.ndarray) -> RateReport:
     """Jump channels out of psi: eigenpairs of the modified rate operator."""
     psi = _require_unit(psi)
-    w_op = _modified_rate_matrix(spec, psi)
-    return channels_from_rate_operator(w_op, psi)
+    return channels_from_rate_operator(_rate_matrix(spec, psi, 1.0), psi)
 
 
 def frictional_rhs(spec: GeneratorSpec, psi: np.ndarray) -> np.ndarray:

@@ -33,6 +33,42 @@ dump_density = {dump}
 """
 
 
+# verify's rows in print order: explicit flip model (one coupling) ...
+FLIP_ROWS = [
+    "hamiltonian_hermitian",
+    "coupling_1_hermitian",
+    "coeff_hermitian",
+    "coeff_positive_semidefinite",
+    "probe_trace_free",
+    "probe_hermiticity_preserving",
+    "flow_norm_tangency",
+    "flow_decay_rate",
+    "rate_operator_eigenstate",
+    "modified_rate_annihilates_state",
+    "modified_rate_trace_sum_rule",
+    "modified_rate_positive",
+    "channel_rate_sum",
+    "channel_reconstruction",
+    "single_step_order_ratio",
+]
+# ... and the oscillator (couplings p and x, plus the closed-form rows)
+OSCILLATOR_ROWS = (
+    FLIP_ROWS[:2]
+    + ["coupling_2_hermitian"]
+    + FLIP_ROWS[2:]
+    + [
+        "closed_form_rate_operator",
+        "closed_form_channel_reconstruction",
+        "hasse_defect_rate_link",
+        "reference_generator_agreement",
+    ]
+)
+
+
+def check_names(out):
+    return [line.split("] ", 1)[1].split(":", 1)[0] for line in out.splitlines() if line.startswith("[")]
+
+
 def write_config(tmp_path, out="out", dump="false", name="model.cfg"):
     path = tmp_path / name
     path.write_text(SMALL.format(out=tmp_path / out, dump=dump))
@@ -58,6 +94,16 @@ def test_invalid_config_reports_lines(tmp_path, capsys):
     assert "positive semidefinite" in err
 
 
+def test_non_finite_model_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "nan.cfg"
+    path.write_text(SMALL.format(out=tmp_path / "out", dump="false").replace("D22 = 0.5", "D22 = nan"))
+    for command in ("verify", "ensemble"):
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: invalid damped_oscillator model: diffusion matrix is not positive semidefinite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_passes_and_prints_report(tmp_path, capsys):
     assert main(["verify", "--config", write_config(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -65,7 +111,10 @@ def test_verify_passes_and_prints_report(tmp_path, capsys):
     assert "[PASS] flow_decay_rate" in out
     assert "[PASS] closed_form_rate_operator" in out
     assert "[FAIL]" not in out
-    assert "checks passed" in out
+    lines = out.splitlines()
+    assert lines[0].startswith("initial state occupancy tail: ")
+    assert check_names(out) == OSCILLATOR_ROWS
+    assert lines[-1] == "20/20 checks passed"
 
 
 def test_verify_explicit_model(tmp_path, capsys):
@@ -81,7 +130,8 @@ def test_verify_explicit_model(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
     # the oscillator-only closed-form section has nothing to check here
-    assert "closed_form_rate_operator" not in out
+    assert check_names(out) == FLIP_ROWS
+    assert out.splitlines()[-1] == "15/15 checks passed"
 
 
 def test_trajectory_outputs(tmp_path):

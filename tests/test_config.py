@@ -257,6 +257,30 @@ def test_non_hermitian_observable_rejected():
     assert any("not Hermitian" in msg for _, msg in errors_of(text))
 
 
+def test_non_finite_diffusion_reported_at_model_header():
+    errors = errors_of(MINIMAL.replace("D22 = 0.5", "D22 = nan"))
+    assert errors == [
+        (2, "invalid damped_oscillator model: diffusion matrix is not positive semidefinite (min eigenvalue nan)")
+    ]
+
+
+def test_non_finite_oscillator_constant_reported_at_model_header():
+    # infinite mass makes p infinite; the strict generator check rejects it
+    errors = errors_of(MINIMAL.replace("N = 20", "N = 20\nm = inf"))
+    assert errors == [(2, "invalid damped_oscillator model: [FAIL] coupling_1_hermitian: value nan (threshold 1.0e-10)")]
+
+
+def test_nan_observable_rejected():
+    text = MINIMAL + "\n[observables]\nmatrix_bad = nan,0 " + " ".join(["0,0"] * 399) + "\n"
+    assert errors_of(text) == [(17, "observable 'bad' is not Hermitian (defect nan)")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_t_final_rejected(value):
+    text = MINIMAL.replace("t_final = 1.0", f"t_final = {value}")
+    assert errors_of(text) == [(12, f"t_final {value} is not a positive integer multiple of dt 0.001")]
+
+
 def test_overrides():
     cfg = parse_config(MINIMAL)
     changed = cfg.with_overrides(out_dir="elsewhere", seed=7)

@@ -12,6 +12,7 @@ import pytest
 
 from qjump.errors import DimensionMismatch, InvalidGenerator
 from qjump.generator import (
+    CheckItem,
     GeneratorSpec,
     apply_generator,
     density_defects,
@@ -143,6 +144,45 @@ def test_strict_construction_rejects_indefinite_coeff():
             couplings=(SX, SZ),
             coeff=np.array([[0.0, 0.5j], [-0.5j, 0.0]]),
         )
+
+
+def test_invariant_violation_is_the_first_failing_check_line():
+    spec = GeneratorSpec(
+        hamiltonian=np.zeros((2, 2)),
+        couplings=(SX, SZ),
+        coeff=np.array([[0.0, 0.5j], [-0.5j, 0.0]]),
+        strict=False,
+    )
+    first = next(c for c in validate_generator(spec).checks if not c.passed)
+    assert spec.invariant_violation() == first.line()
+    assert first.line().startswith("[FAIL] coeff_positive_semidefinite: value -5.000e-01")
+
+
+def test_strict_construction_rejects_nan_hamiltonian():
+    with pytest.raises(InvalidGenerator) as info:
+        GeneratorSpec(hamiltonian=[[np.nan, 0.0], [0.0, 1.0]], couplings=(), coeff=np.zeros((0, 0)))
+    assert str(info.value) == "[FAIL] hamiltonian_hermitian: value nan (threshold 1.0e-10)"
+
+
+def test_strict_construction_rejects_nan_coeff():
+    with pytest.raises(InvalidGenerator) as info:
+        GeneratorSpec(hamiltonian=np.zeros((2, 2)), couplings=(SX,), coeff=[[np.nan]])
+    assert str(info.value) == "[FAIL] coeff_hermitian: value nan (threshold 1.0e-10)"
+
+
+def test_validate_generator_reports_nan_coeff_without_raising():
+    spec = GeneratorSpec(hamiltonian=np.zeros((2, 2)), couplings=(SX,), coeff=[[np.nan]], strict=False)
+    report = validate_generator(spec)
+    assert not report.passed
+    assert "[FAIL] coeff_positive_semidefinite: value nan (threshold -1.0e-10)" in report.summary().splitlines()
+
+
+def test_check_item_fails_on_nan():
+    assert CheckItem.at_most("x", 1e-10, 1e-10).passed
+    assert not CheckItem.at_most("x", float("nan"), 1e-10).passed
+    assert not CheckItem.worst_of("x", [0.0, float("nan"), 1e-12], 1e-10).passed
+    assert CheckItem.worst_of("x", [3e-11, 1e-11], 1e-10).value == 3e-11
+    assert CheckItem.worst_of("x", [], 1e-10).value == 0.0
 
 
 def test_shape_mismatches_rejected():

@@ -9,6 +9,7 @@ from qjump.linalg import (
     expectation,
     fix_phase,
     hermiticity_defect,
+    lowest_eigenvalue,
     normalize,
     orthonormal_completion,
     outer,
@@ -137,6 +138,21 @@ def test_eigh_phase_fixed_bitwise_matches_per_column_reference():
 def test_eigendecomposition_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         eigh_phase_fixed(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_not_hermitian(bad):
+    mat = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(NonHermitianInput):
+        trace_distance(mat, np.eye(2))
+    with pytest.raises(NonHermitianInput):
+        eigh_phase_fixed(mat)
+
+
+def test_lowest_eigenvalue():
+    assert lowest_eigenvalue(SZ) == -1.0
+    # eigvalsh itself returns finite numbers for this input
+    assert np.isnan(lowest_eigenvalue(np.array([[np.nan, 0.0], [0.0, 1.0]])))
 
 
 def test_fix_phase_removes_global_phase():

@@ -145,6 +145,12 @@ def test_params_validation():
     assert TUNED.friction == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("field,bad", [("d22", np.nan), ("re_d12", np.nan), ("im_d12", np.inf)])
+def test_params_reject_non_finite_diffusion(field, bad):
+    with pytest.raises(InvalidGenerator, match="positive semidefinite"):
+        OscillatorParams(**{field: bad})
+
+
 def test_generator_dual_route():
     # generic contraction vs literal friction + diffusion commutators
     rng = np.random.default_rng(0)

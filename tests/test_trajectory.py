@@ -127,6 +127,15 @@ def test_dimension_mismatch_rejected():
         run_trajectory(FLIP, E0_2, TrajectoryConfig(dt=0.1, t_final=1.0, seed=0, observables=bad_obs))
 
 
+def test_grid_step():
+    assert trajectory.grid_step(0.3, 0.1) == 3
+    assert trajectory.grid_step(0.0, 0.1) == 0
+    assert trajectory.grid_step(-0.2, 0.1) == -2
+    assert trajectory.grid_step(0.25, 0.1) is None
+    assert trajectory.grid_step(float("nan"), 0.1) is None
+    assert trajectory.grid_step(float("inf"), 0.1) is None
+
+
 def test_maybe_jump_bernoulli_contract(monkeypatch):
     # ground state decays at w = 1/2, so prob = 5e-4 at dt = 1e-3
     psi = fock_state(20, 0)
