@@ -8,7 +8,10 @@ results are reduced strictly in chunk order, and every trajectory owns a
 Philox stream keyed by (seed, trajectory_index) with two uniforms per
 step.  Output bytes therefore do not depend on the thread count.  CHUNK
 itself is part of that contract: changing it reorders floating-point
-accumulation and changes output in the last bits.
+accumulation and changes output in the last bits.  A chunk draws its
+uniforms WINDOW steps at a time, so its memory does not grow with
+n_steps; Philox draws split at any row boundary equal one whole draw, so
+WINDOW is not part of the contract.
 
 Every step, here at M = CHUNK and in trajectory.run_trajectory at M = 1,
 goes through jump_step: Bernoulli jump with probability w dt decided by
@@ -40,6 +43,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily: load it with qjump, not inside the first run
 
 from . import _flow
 from .errors import DimensionMismatch, EmptyChannels, NegativeRate, StepTooLarge
@@ -48,6 +52,7 @@ from .linalg import as_state, normalize
 from .unraveling import RATE_CLAMP, RateReport, jump_channels
 
 CHUNK = 1024
+WINDOW = 64  # steps of uniforms a chunk holds at once: 1 MiB at CHUNK columns
 JUMP_PROB_WARN = 0.1
 JUMP_PROB_MAX = 0.5
 RATE_FLOOR_ABS = 1e-9
@@ -308,9 +313,8 @@ def run_batch(
     def run_chunk(lo: int, hi: int) -> _ChunkPartial:
         m = hi - lo
         psi = np.repeat(psi0[:, None], m, axis=1)
-        uniforms = np.empty((n_steps, 2, m), dtype=np.float64)
-        for j in range(m):
-            uniforms[:, :, j] = trajectory_rng(seed, lo + j).random((n_steps, 2))
+        streams = [trajectory_rng(seed, lo + j) for j in range(m)]
+        uniforms = np.empty((min(WINDOW, n_steps), 2, m), dtype=np.float64)
         ids = block_of(np.arange(lo, hi, dtype=np.int64))
         # chunk columns are consecutive trajectory indices, so each block
         # occupies one contiguous column range
@@ -341,7 +345,12 @@ def run_batch(
             accumulate(slot, psi)
         evaluation = _flow.rhs_block(flow, psi, want_rate=True)
         for i in range(n_steps):
-            psi, evaluation, prob, jumps = jump_step(spec, flow, psi, evaluation, dt, uniforms[i], i, lo)
+            row = i % WINDOW
+            if row == 0:
+                rows = min(WINDOW, n_steps - i)
+                for j, stream in enumerate(streams):
+                    uniforms[:rows, :, j] = stream.random((rows, 2))
+            psi, evaluation, prob, jumps = jump_step(spec, flow, psi, evaluation, dt, uniforms[row], i, lo)
             pmax = max(pmax, prob)
             if log is not None:
                 log.extend((lo + j, (i + 1) * dt, rate, chosen) for j, rate, chosen in jumps)

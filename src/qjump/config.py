@@ -42,6 +42,7 @@ it came from, rather than stopping at the first.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -364,7 +365,15 @@ def _build_initial(v: _Validator, spec: GeneratorSpec | None, params: Oscillator
         except ValueError as exc:
             v.error(entry.line, f"coherent amplitude: {exc}")
             return None
-        return coherent_state(dim, alpha)
+        if not cmath.isfinite(alpha):
+            v.error(entry.line, f"coherent amplitude {alpha} is not finite")
+            return None
+        try:
+            return coherent_state(dim, alpha)
+        except (OverflowError, ValueError):
+            # |alpha|^2 overflows, or every level's amplitude underflows to zero
+            v.error(entry.line, f"coherent amplitude {alpha} is too large for dimension {dim}")
+            return None
     if text == "explicit":
         amp_entry = v.get("initial", "amplitudes")
         if amp_entry is None:
@@ -378,8 +387,15 @@ def _build_initial(v: _Validator, spec: GeneratorSpec | None, params: Oscillator
         if amps.size != dim:
             v.error(amp_entry.line, f"'amplitudes': expected {dim} re,im pairs, got {amps.size}")
             return None
-        if np.linalg.norm(amps) <= MIN_INITIAL_NORM:
-            v.error(amp_entry.line, f"initial state norm {np.linalg.norm(amps):.3e} is too small to normalize")
+        if not np.isfinite(amps).all():
+            v.error(amp_entry.line, "'amplitudes': every amplitude must be finite")
+            return None
+        norm = np.linalg.norm(amps)
+        if norm <= MIN_INITIAL_NORM:
+            v.error(amp_entry.line, f"initial state norm {norm:.3e} is too small to normalize")
+            return None
+        if not np.isfinite(norm):
+            v.error(amp_entry.line, "initial state norm overflows; scale the amplitudes down")
             return None
         return normalize(amps)
     v.error(entry.line, f"unrecognized state {text!r} (expected fock(n), coherent(a), or explicit)")
@@ -441,8 +457,11 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError(sorted(scan_errors))
     v = _Validator(entries, sections)
 
-    spec, model_type, params = _build_model(v)
-    initial = _build_initial(v, spec, params)
+    # non-finite or overflowing input becomes a line-numbered error below;
+    # numpy's warnings about it on the way would only precede that error
+    with np.errstate(invalid="ignore", over="ignore"):
+        spec, model_type, params = _build_model(v)
+        initial = _build_initial(v, spec, params)
     observables = _build_observables(v, spec, params)
 
     dt = v.typed("run", "dt", _float, "a real number", required=True)

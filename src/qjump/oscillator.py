@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionMismatch, InvalidGenerator
 from .generator import PSD_TOL, GeneratorSpec
@@ -152,8 +151,11 @@ def squeezed_vacuum(levels: int, r: float) -> np.ndarray:
     Positive r squeezes position: sigma_22 = (hbar/2 m omega) e^{-2r} at
     unit mass and frequency.  For |r| beyond about 0.45 the truncated
     exponential leaks weight into the top levels at N=20; callers gate on
-    is_truncation_safe.
+    is_truncation_safe.  scipy is imported here, on first use, so that
+    importing qjump and running its commands never loads it.
     """
+    from scipy.linalg import expm
+
     a = ladder(levels)
     gen = 0.5 * r * (a @ a - a.conj().T @ a.conj().T)
     psi = expm(gen) @ fock_state(levels, 0)

@@ -1,11 +1,16 @@
 """End-to-end command line checks on small, fast configurations."""
 
 import argparse
+import json
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import qjump
 from qjump.cli import _resolve_thread_request, cmd_verify, main
 
 SMALL = """
@@ -75,6 +80,35 @@ def write_config(tmp_path, out="out", dump="false", name="model.cfg"):
     return str(path)
 
 
+# every command, in a fresh interpreter; prints the exit codes and any scipy module loaded
+IMPORT_PATH = """
+import json
+import sys
+
+import qjump
+import qjump.cli
+
+commands = (["verify"], ["trajectory"], ["ensemble", "--threads", "2"])
+codes = [qjump.cli.main([*command, "--config", sys.argv[1]]) for command in commands]
+print(json.dumps([codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]))
+"""
+
+
+def test_commands_never_import_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(qjump.__file__))))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH, write_config(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert scipy_modules == []
+
+
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])
@@ -104,6 +138,61 @@ def test_non_finite_model_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+FLIP_CONFIG = (
+    "[model]\ntype = explicit\ndim = 2\n"
+    "hamiltonian = {h00},0 0,0 0,0 0,0\n"
+    "couplings = 1\ncoupling_1 = 0,0 1,0 1,0 0,0\ncoeff = 0.5,0\n"
+    "[initial]\nstate = {state}\n"
+    "[run]\ndt = 1e-2\nt_final = 0.1\nn_trajectories = 10\nseed = 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (
+            SMALL.replace("coherent(0.6)", "coherent(nan)"),
+            "line 8: coherent amplitude (nan+0j) is not finite",
+        ),
+        (
+            FLIP_CONFIG.format(h00=0, state="explicit\namplitudes = nan,0 1,0"),
+            "line 10: 'amplitudes': every amplitude must be finite",
+        ),
+    ],
+    ids=["coherent", "explicit"],
+)
+def test_non_finite_initial_state_is_a_config_error(tmp_path, capsys, text, error):
+    path = tmp_path / "state.cfg"
+    path.write_text(text.format(out=tmp_path / "out", dump="false"))
+    for command in ("verify", "trajectory"):
+        assert main([command, "--config", str(path)]) == 2
+        assert error in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (
+            SMALL.replace("D22 = 0.5", "D22 = 0.5\nm = inf"),
+            "line 2: invalid damped_oscillator model: [FAIL] coupling_1_hermitian: value nan (threshold 1.0e-10)",
+        ),
+        (FLIP_CONFIG.format(h00="inf", state="fock(0)"), "line 4: generator check failed: hamiltonian_hermitian (value nan)"),
+    ],
+    ids=["mass", "hamiltonian"],
+)
+def test_non_finite_model_warns_nothing_before_its_error(tmp_path, capsys, text, error):
+    path = tmp_path / "inf.cfg"
+    path.write_text(text.format(out=tmp_path / "out", dump="false"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == f"error: invalid config {str(path)!r}:"
+    assert all(line.startswith("  line ") for line in lines[1:])
+    assert f"  {error}" in lines
+
+
 def test_verify_passes_and_prints_report(tmp_path, capsys):
     assert main(["verify", "--config", write_config(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -119,13 +208,7 @@ def test_verify_passes_and_prints_report(tmp_path, capsys):
 
 def test_verify_explicit_model(tmp_path, capsys):
     path = tmp_path / "flip.cfg"
-    path.write_text(
-        "[model]\ntype = explicit\ndim = 2\n"
-        "hamiltonian = 0,0 0,0 0,0 0,0\n"
-        "couplings = 1\ncoupling_1 = 0,0 1,0 1,0 0,0\ncoeff = 0.5,0\n"
-        "[initial]\nstate = fock(0)\n"
-        "[run]\ndt = 1e-2\nt_final = 0.1\nn_trajectories = 10\nseed = 1\n"
-    )
+    path.write_text(FLIP_CONFIG.format(h00=0, state="fock(0)"))
     assert main(["verify", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "[FAIL]" not in out

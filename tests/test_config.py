@@ -281,6 +281,55 @@ def test_non_finite_t_final_rejected(value):
     assert errors_of(text) == [(12, f"t_final {value} is not a positive integer multiple of dt 0.001")]
 
 
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ("coherent(nan)", "coherent amplitude (nan+0j) is not finite"),
+        ("coherent(1+nani)", "coherent amplitude (1+nanj) is not finite"),
+        ("coherent(1e200)", "coherent amplitude (1e+200+0j) is too large for dimension 20"),
+        ("coherent(1e5)", "coherent amplitude (100000+0j) is too large for dimension 20"),
+    ],
+)
+def test_unrepresentable_coherent_state_rejected(state, message):
+    assert errors_of(MINIMAL.replace("fock(0)", state)) == [(8, message)]
+
+
+EXPLICIT_STATE = textwrap.dedent(
+    """\
+    [model]
+    type = explicit
+    dim = 3
+    hamiltonian = 0,0 1,0 0,0 1,0 0,0 1,0 0,0 1,0 0,0
+    couplings = 1
+    coupling_1 = 1,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 -1,0
+    coeff = 1,0
+
+    [initial]
+    state = explicit
+    amplitudes = {amplitudes}
+
+    [run]
+    dt = 1e-3
+    t_final = 0.01
+    n_trajectories = 10
+    seed = 42
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "amplitudes, message",
+    [
+        ("nan,0 0.5,0.5 0,1", "'amplitudes': every amplitude must be finite"),
+        ("0,0 0,inf 0,1", "'amplitudes': every amplitude must be finite"),
+        ("1e300,0 1e300,0 0,0", "initial state norm overflows; scale the amplitudes down"),
+        ("1e-200,0 0,0 0,0", "initial state norm 0.000e+00 is too small to normalize"),
+    ],
+)
+def test_unnormalizable_explicit_amplitudes_rejected(amplitudes, message):
+    assert errors_of(EXPLICIT_STATE.format(amplitudes=amplitudes)) == [(11, message)]
+
+
 def test_overrides():
     cfg = parse_config(MINIMAL)
     changed = cfg.with_overrides(out_dir="elsewhere", seed=7)

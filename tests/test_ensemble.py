@@ -8,6 +8,7 @@ simple enough that modest ensembles converge fast.
 import numpy as np
 import pytest
 
+from qjump import _batch
 from qjump._batch import run_batch
 from qjump.ensemble import (
     ConvergenceReport,
@@ -145,6 +146,51 @@ def test_engine_reduction_independent_of_thread_count():
     assert np.array_equal(batch1.block_sums, batch4.block_sums)
     assert np.array_equal(batch1.block_counts, batch4.block_counts)
     assert batch1.max_jump_prob == batch4.max_jump_prob
+
+
+class DrawSpy:
+    """A trajectory stream that records the rows of every uniform draw."""
+
+    def __init__(self, stream, rows):
+        self._stream = stream
+        self._rows = rows
+
+    def random(self, size):
+        self._rows.append(size[0])
+        return self._stream.random(size)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_uniform_window_does_not_move_output(monkeypatch, threads):
+    # 130 steps leave a partial last window at every window size tried
+    n_steps, n_traj = 130, 12
+    monkeypatch.setattr(_batch, "CHUNK", 5)
+    keyed = _batch.trajectory_rng
+    results = {}
+    for window in (_batch.WINDOW, 1, 7):
+        rows = []
+        monkeypatch.setattr(_batch, "WINDOW", window)
+        monkeypatch.setattr(_batch, "trajectory_rng", lambda seed, index: DrawSpy(keyed(seed, index), rows))
+        results[window] = run_batch(
+            FLIP,
+            E0_2,
+            1e-2,
+            n_steps,
+            n_traj,
+            3,
+            snapshot_steps=(0, 65, n_steps),
+            observables=(POP0,),
+            threads=threads,
+            record_jumps=True,
+        )
+        assert max(rows) == window and sum(rows) == n_steps * n_traj
+    reference = results.pop(_batch.WINDOW)
+    assert reference.jump_log
+    for batch in results.values():
+        assert batch.block_sums.tobytes() == reference.block_sums.tobytes()
+        assert batch.obs_sum.tobytes() == reference.obs_sum.tobytes()
+        assert batch.obs_sumsq.tobytes() == reference.obs_sumsq.tobytes()
+        assert batch.jump_log == reference.jump_log
 
 
 def ensemble_config(n_traj, dt=1e-2, t_final=1.0, seed=5, observables=None):

@@ -10,7 +10,7 @@ import pytest
 
 from qjump.errors import DimensionMismatch, InvalidGenerator
 from qjump.generator import apply_generator
-from qjump.linalg import expectation, outer
+from qjump.linalg import expectation, normalize, outer
 from qjump.oscillator import (
     OscillatorParams,
     build_operators,
@@ -124,6 +124,16 @@ def test_squeezed_vacuum_variances(r):
 
 def test_squeezed_vacuum_zero_is_ground():
     assert np.max(np.abs(squeezed_vacuum(20, 0.0) - fock_state(20, 0))) < 1e-15
+
+
+def test_squeezed_vacuum_is_the_scipy_exponential():
+    # squeezed_vacuum imports scipy on first use; the state is unchanged by that
+    from scipy.linalg import expm
+
+    a = ladder(20)
+    gen = 0.5 * 0.3 * (a @ a - a.conj().T @ a.conj().T)
+    expected = normalize(expm(gen) @ fock_state(20, 0))
+    assert squeezed_vacuum(20, 0.3).tobytes() == expected.tobytes()
 
 
 def test_fock_state_bounds():
