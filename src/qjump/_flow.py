@@ -1,27 +1,37 @@
 """Compiled evaluation of the no-jump flow and the total decay rate.
 
-compile_flow folds a GeneratorSpec into a small set of dense matrices so
-the flow right hand side can be evaluated with one stacked matrix
-product, for a single state or for a whole block of states at once
-(columns of a (d, M) array).  Both engines reach this module through
-the one step policy, _batch.jump_step, so a single trajectory and an
-ensemble integrate the exact same discretized flow and read their jump
-probability off the same rate evaluation.
+compile_flow folds a GeneratorSpec into one stack of dense d x d blocks,
+so the flow right hand side and the decay rate come from a single
+stacked matrix product, for a single state or for a whole block of
+states at once (columns of a (d, M) array).  Both engines reach this
+module through the one step policy, _batch.jump_step, so a single
+trajectory and an ensemble integrate the exact same discretized flow and
+read their jump probability off the same rate evaluation.
 
-With raw bilinear expectations s_a = psi^dag A_a psi (no normalization),
+The stack holds C on top, then the active couplings A_a, then K:
 
-    v    = C psi + sum_a g_a A_a psi,      g = (2/hbar^2) D s
     C    = -(i/hbar) H
            - (2i/hbar^2) sum_{a<b} Im D_ab A_b A_a
            - (1/hbar^2)  sum_{a,b} Re D_ab A_a A_b
-    rhs  = v - (psi^dag v) psi
-    rate = -Re[ psi^dag v + sum_{a,b} E_ab psi^dag A_a A_b psi ]
+    K    = sum_{a,b} E_ab A_a A_b
 
 where E_ab = (2i/hbar^2) Im D_ab for a < b minus (1/hbar^2) Re D_ab.
+One product y = stack psi (without the K block when no rate is wanted)
+and one conjugated dot product per block,
+
+    q    = (psi^dag C psi, s_1, ..., s_n, psi^dag K psi),   s_a = psi^dag A_a psi,
+
+give every bilinear the flow needs, with no normalization.  Then
+
+    v         = C psi + sum_a g_a A_a psi,      g = (2/hbar^2) D s
+    psi^dag v = q_0 + sum_a g_a s_a
+    rhs       = v - (psi^dag v) psi
+    rate      = -Re[ psi^dag v + psi^dag K psi ]
+
 For a normalized psi, rhs equals (L[psi psi^dag] - <L>) psi and rate
 equals the total decay rate, exactly in exact arithmetic.  Couplings
 whose rows and columns of D vanish drop out of every term and are
-excluded from the stack.
+excluded from the stack; with none active, K is zero.
 """
 
 from __future__ import annotations
@@ -40,10 +50,9 @@ NORM_DRIFT_MAX = 1e-3
 class CompiledFlow:
     dim: int
     hbar: float
-    stack: np.ndarray  # ((1 + n_active) * d, d): C on top, active couplings below
+    stack: np.ndarray  # ((2 + n_active) * d, d): C on top, active couplings, K at the bottom
     n_active: int
     gain: np.ndarray  # (n_active, n_active): (2/hbar^2) D restricted to active rows
-    scalar_coeff: np.ndarray  # (n_active, n_active): E above
 
 
 def compile_flow(spec: GeneratorSpec) -> CompiledFlow:
@@ -73,39 +82,35 @@ def compile_flow(spec: GeneratorSpec) -> CompiledFlow:
             if im_d[a, b] != 0.0:
                 cmat = cmat - (2j * ih2 * im_d[a, b]) * (ops[b] @ ops[a])
 
-    stack = np.ascontiguousarray(np.vstack([cmat] + ops) if ka else cmat)
-    gain = (2.0 * ih2) * sub
-    scalar_coeff = (-ih2 * re_d).astype(np.complex128)
+    # K = sum_ab E_ab A_a A_b, the rate's bilinear beyond psi^dag v
+    kmat = np.zeros((d, d), dtype=np.complex128)
     for a in range(ka):
-        for b in range(a + 1, ka):
-            scalar_coeff[a, b] += 2j * ih2 * im_d[a, b]
-    return CompiledFlow(dim=d, hbar=hbar, stack=stack, n_active=ka, gain=gain, scalar_coeff=scalar_coeff)
+        for b in range(ka):
+            e_ab = -ih2 * re_d[a, b] + (2j * ih2 * im_d[a, b] if a < b else 0.0)
+            if e_ab != 0.0:
+                kmat = kmat + e_ab * (ops[a] @ ops[b])
+
+    stack = np.vstack([cmat, *ops, kmat])
+    return CompiledFlow(dim=d, hbar=hbar, stack=stack, n_active=ka, gain=(2.0 * ih2) * sub)
 
 
 def rhs_block(cf: CompiledFlow, psi: np.ndarray, want_rate: bool = False):
     """Flow rhs for a (d, M) block; optionally also the decay rate per column."""
     d = cf.dim
-    y = cf.stack @ psi
-    cpsi = y[:d]
-    if cf.n_active == 0:
-        v = cpsi
-        dot = np.einsum("dm,dm->m", psi.conj(), v)
-        rhs = v - psi * dot[None, :]
-        if not want_rate:
-            return rhs, None
-        return rhs, -dot.real
-    ys = y[d:].reshape(cf.n_active, d, -1)
-    s = np.einsum("dm,adm->am", psi.conj(), ys)
+    stack = cf.stack if want_rate else cf.stack[:-d]
+    y = (stack @ psi).reshape(-1, d, psi.shape[1])
+    q = np.vecdot(psi, y, axis=-2)
+    s = q[1 : 1 + cf.n_active]
     g = cf.gain @ s
-    v = cpsi + np.einsum("am,adm->dm", g, ys)
-    dot = np.einsum("dm,dm->m", psi.conj(), v)
-    rhs = v - psi * dot[None, :]
+    v = y[0]
+    dot = q[0]
+    for a in range(cf.n_active):
+        v = v + g[a] * y[1 + a]
+        dot = dot + g[a] * s[a]
+    rhs = v - psi * dot
     if not want_rate:
         return rhs, None
-    cross = np.einsum("adm,bdm->abm", ys.conj(), ys)
-    extra = np.einsum("ab,abm->m", cf.scalar_coeff, cross)
-    rate = -(dot + extra).real
-    return rhs, rate
+    return rhs, -(dot + q[-1]).real
 
 
 def rk4_step_block(
@@ -126,7 +131,7 @@ def rk4_step_block(
     k3, _ = rhs_block(cf, psi + (0.5 * dt) * k2)
     k4, _ = rhs_block(cf, psi + dt * k3)
     out = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    norms = np.sqrt(np.einsum("dm,dm->m", out.conj(), out).real)
+    norms = np.sqrt(np.vecdot(out, out, axis=0).real)
     if check:
         drift = np.abs(norms - 1.0)
         # written so that NaN and inf fail the guard as well

@@ -215,9 +215,13 @@ def _bool(text: str) -> bool:
 
 
 def _complex(text: str) -> complex:
-    cleaned = text.strip().replace("i", "j")
+    """complex() of text written with i as the imaginary unit: 1+2i, 2.5i, 1+infi."""
+    cleaned = text.strip()
     if not cleaned:
         raise ValueError("empty value")
+    # only a trailing i is the unit; the i of inf is not
+    if cleaned.endswith("i"):
+        cleaned = cleaned[:-1] + "j"
     return complex(cleaned)
 
 

@@ -39,9 +39,10 @@ def outer(psi: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(mat: np.ndarray) -> float:
-    """Largest entry of |M - M^dagger|."""
+    """Largest entry of |M - M^dagger|; NaN, without a numpy warning, for non-finite input."""
     mat = as_operator(mat)
-    return float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
 
 
 def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:

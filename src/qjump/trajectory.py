@@ -118,11 +118,12 @@ def run_trajectory(spec: GeneratorSpec, psi0: np.ndarray, cfg: TrajectoryConfig)
     rng = trajectory_rng(cfg.seed, cfg.trajectory_index)
     n = cfg.n_steps
     names = list(cfg.observables)
-    series = {name: np.empty(n + 1, dtype=np.float64) for name in names}
+    values = np.empty((len(names), n + 1), dtype=np.float64)
+    series = dict(zip(names, values))
+    obs_stack = np.reshape([cfg.observables[name] for name in names], (-1, spec.dim))
 
     def record(step: int, state: np.ndarray) -> None:
-        for name in names:
-            series[name][step] = float(np.vdot(state, cfg.observables[name] @ state).real)
+        values[:, step] = np.vecdot(state, (obs_stack @ state).reshape(-1, spec.dim)).real
 
     jumps: list[JumpEvent] = []
     block = psi[:, None]

@@ -5,7 +5,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from qjump.config import parse_config
+from qjump.config import _complex, parse_config
 from qjump.errors import ParseError, ValidationError
 from qjump.oscillator import coherent_state, occupancy_tail
 
@@ -286,12 +286,23 @@ def test_non_finite_t_final_rejected(value):
     [
         ("coherent(nan)", "coherent amplitude (nan+0j) is not finite"),
         ("coherent(1+nani)", "coherent amplitude (1+nanj) is not finite"),
+        ("coherent(inf)", "coherent amplitude (inf+0j) is not finite"),
+        ("coherent(1+infi)", "coherent amplitude (1+infj) is not finite"),
         ("coherent(1e200)", "coherent amplitude (1e+200+0j) is too large for dimension 20"),
         ("coherent(1e5)", "coherent amplitude (100000+0j) is too large for dimension 20"),
     ],
 )
 def test_unrepresentable_coherent_state_rejected(state, message):
     assert errors_of(MINIMAL.replace("fock(0)", state)) == [(8, message)]
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1+2i", 1 + 2j), ("2.5i", 2.5j), ("1+infi", complex(1.0, np.inf)), ("inf", complex(np.inf, 0.0))],
+)
+def test_complex_values_parse(text, value):
+    # i is the imaginary unit only at the end, so inf stays readable
+    assert _complex(text) == value
 
 
 EXPLICIT_STATE = textwrap.dedent(

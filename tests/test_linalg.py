@@ -1,5 +1,7 @@
 """Checks for the dense linear algebra helpers, with hand-computed oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -143,10 +145,13 @@ def test_eigendecomposition_rejects_non_hermitian():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_input_is_not_hermitian(bad):
     mat = np.array([[bad, 0.0], [0.0, 1.0]])
-    with pytest.raises(NonHermitianInput):
-        trace_distance(mat, np.eye(2))
-    with pytest.raises(NonHermitianInput):
-        eigh_phase_fixed(mat)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonHermitianInput):
+            trace_distance(mat, np.eye(2))
+        with pytest.raises(NonHermitianInput):
+            eigh_phase_fixed(mat)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_lowest_eigenvalue():

@@ -44,28 +44,45 @@ def random_spec(dim, n_couplings, rng):
     )
 
 
+# explicit 3-level model with two couplings and a complex off-diagonal D
+THREE_LEVEL = GeneratorSpec(
+    hamiltonian=[[1.0, 0.5 - 0.2j, 0.0], [0.5 + 0.2j, -0.3, 0.7j], [0.0, -0.7j, 0.4]],
+    couplings=(
+        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+        np.array([[1.0, 0.0, -0.5j], [0.0, 0.0, 0.0], [0.5j, 0.0, -1.0]]),
+    ),
+    coeff=[[0.4, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]],
+)
+
+
 @pytest.mark.parametrize(
     "spec",
     [
         FLIP,
         OSC_SPEC,
         oscillator_generator(OscillatorParams(levels=20, d11=0.3, d22=0.5, re_d12=0.1, im_d12=0.05)),
+        GeneratorSpec(hamiltonian=random_hermitian(5, np.random.default_rng(4)), couplings=(), coeff=np.zeros((0, 0))),
+        THREE_LEVEL,
     ],
-    ids=["flip", "diffusion-only", "full-rank"],
+    ids=["flip", "diffusion-only", "full-rank", "hamiltonian-only", "three-level"],
 )
 def test_flow_rate_matches_reference_route(spec):
     # both engines take w from the compiled flow; total_decay_rate is the
     # reference route.  Im D12 != 0 in the full-rank model exercises the
-    # E_ab cross terms of the flow rate.
+    # E_ab cross terms of the flow rate.  The rhs, at M = 20 and at M = 1,
+    # is checked against the projector route frictional_rhs.
     rng = np.random.default_rng(11)
     flow = compile_flow(spec)
     states = np.stack([random_state(spec.dim, rng) for _ in range(20)], axis=1)
-    _, rates = rhs_block(flow, states, want_rate=True)
+    rhs, rates = rhs_block(flow, states, want_rate=True)
     for j in range(states.shape[1]):
         w = total_decay_rate(spec, states[:, j])
         assert abs(rates[j] - w) <= 1e-12 * max(1.0, w)
-        _, single = rhs_block(flow, states[:, j : j + 1], want_rate=True)
+        single_rhs, single = rhs_block(flow, states[:, j : j + 1], want_rate=True)
         assert abs(single[0] - w) <= 1e-12 * max(1.0, w)
+        reference = frictional_rhs(spec, states[:, j])
+        assert np.max(np.abs(rhs[:, j] - reference)) <= 1e-13
+        assert np.max(np.abs(single_rhs[:, 0] - reference)) <= 1e-13
 
 
 def test_flip_model_rate():
