@@ -118,7 +118,6 @@ def rk4_step_block(
     psi: np.ndarray,
     dt: float,
     k1: np.ndarray | None = None,
-    check: bool = True,
 ) -> np.ndarray:
     """One classical Runge-Kutta step of the flow, then exact renormalization.
 
@@ -132,23 +131,17 @@ def rk4_step_block(
     k4, _ = rhs_block(cf, psi + dt * k3)
     out = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     norms = np.sqrt(np.vecdot(out, out, axis=0).real)
-    if check:
-        drift = np.abs(norms - 1.0)
-        # written so that NaN and inf fail the guard as well
-        bad = np.flatnonzero(~(drift <= NORM_DRIFT_MAX))
-        if bad.size:
-            j = int(bad[0])
-            raise StepTooLarge(
-                f"pre-renormalization norm of column {j} drifted by {drift[j]:.3e} > {NORM_DRIFT_MAX:.1e}; reduce dt",
-                column=j,
-            )
+    drift = np.abs(norms - 1.0)
+    # written so that NaN and inf fail the guard as well
+    bad = np.flatnonzero(~(drift <= NORM_DRIFT_MAX))
+    if bad.size:
+        j = int(bad[0])
+        raise StepTooLarge(
+            f"pre-renormalization norm of column {j} drifted by {drift[j]:.3e} > {NORM_DRIFT_MAX:.1e}; reduce dt",
+            column=j,
+        )
     return out / norms[None, :]
 
 
-def flow_rhs(cf: CompiledFlow, psi: np.ndarray) -> np.ndarray:
-    rhs, _ = rhs_block(cf, psi[:, None])
-    return rhs[:, 0]
-
-
-def rk4_step(cf: CompiledFlow, psi: np.ndarray, dt: float, check: bool = True) -> np.ndarray:
-    return rk4_step_block(cf, psi[:, None], dt, check=check)[:, 0]
+def rk4_step(cf: CompiledFlow, psi: np.ndarray, dt: float) -> np.ndarray:
+    return rk4_step_block(cf, psi[:, None], dt)[:, 0]

@@ -32,11 +32,13 @@ from .ensemble import (
 )
 from .errors import ConfigError, QJumpError
 from .generator import CheckItem, GeneratorSpec, apply_generator, validate_generator
-from .linalg import lowest_eigenvalue, outer
+from .linalg import expectation, lowest_eigenvalue, outer
 from .oscillator import (
     OscillatorParams,
     closed_form_channels,
     closed_form_rate_operator,
+    frictional_hamiltonian,
+    frictional_rhs_closed_form,
     generator_reference,
     hasse_defect,
     random_truncation_safe_state,
@@ -72,6 +74,8 @@ OSCILLATOR_CHECKS = (
     ("closed_form_channel_reconstruction", VERIFY_TOL),
     ("hasse_defect_rate_link", VERIFY_TOL),
     ("reference_generator_agreement", 1e-12),
+    ("closed_form_flow_rhs", VERIFY_TIGHT),
+    ("frictional_hamiltonian_flow", VERIFY_TIGHT),
 )
 
 
@@ -95,14 +99,13 @@ def _reconstruction_defect(report: RateReport, wp_op: np.ndarray) -> float:
     return float(np.max(np.abs(recon - wp_op)))
 
 
-def _generic_defects(spec: GeneratorSpec, flow, psi: np.ndarray, w: float, wp_op: np.ndarray) -> dict[str, float]:
-    """The GENERIC_CHECKS values at one probe state with decay rate w and W' = wp_op."""
-    rhs, flow_rate = rhs_block(flow, psi[:, None], want_rate=True)
+def _generic_defects(spec: GeneratorSpec, psi: np.ndarray, rhs: np.ndarray, flow_rate: float, w: float, wp_op: np.ndarray) -> dict[str, float]:
+    """The GENERIC_CHECKS values at one probe state: compiled flow rhs and rate, decay rate w, W' = wp_op."""
     low = lowest_eigenvalue(wp_op)
     report = channels_from_rate_operator(wp_op, psi)
     return {
-        "flow_norm_tangency": abs(2.0 * np.vdot(psi, rhs[:, 0]).real),
-        "flow_decay_rate": abs(float(flow_rate[0]) - w) / max(1.0, w),
+        "flow_norm_tangency": abs(2.0 * np.vdot(psi, rhs).real),
+        "flow_decay_rate": abs(flow_rate - w) / max(1.0, w),
         "rate_operator_eigenstate": float(np.linalg.norm(transition_rate_operator(spec, psi) @ psi + w * psi)),
         "modified_rate_annihilates_state": float(np.linalg.norm(wp_op @ psi)),
         "modified_rate_trace_sum_rule": abs(float(np.trace(wp_op).real) - w),
@@ -113,10 +116,13 @@ def _generic_defects(spec: GeneratorSpec, flow, psi: np.ndarray, w: float, wp_op
 
 
 def _oscillator_defects(
-    spec: GeneratorSpec, params: OscillatorParams, psi: np.ndarray, w: float, wp_op: np.ndarray
+    spec: GeneratorSpec, params: OscillatorParams, psi: np.ndarray, rhs: np.ndarray, w: float, wp_op: np.ndarray
 ) -> dict[str, float]:
-    """The OSCILLATOR_CHECKS values: closed forms against the generic route."""
+    """The OSCILLATOR_CHECKS values: closed forms against the generic route, and Hasse's H_fr."""
     rho = outer(psi)
+    closed_rhs = frictional_rhs_closed_form(params, psi)
+    mean_h0 = expectation(spec.hamiltonian, psi).real
+    hamiltonian_rhs = (-1j / params.hbar) * (frictional_hamiltonian(params, psi) @ psi - mean_h0 * psi)
     return {
         "closed_form_rate_operator": float(np.max(np.abs(closed_form_rate_operator(psi, params) - wp_op))),
         "closed_form_channel_reconstruction": _reconstruction_defect(closed_form_channels(psi, params), wp_op),
@@ -124,6 +130,8 @@ def _oscillator_defects(
         "reference_generator_agreement": float(
             np.max(np.abs(apply_generator(spec, rho) - generator_reference(params, rho)))
         ),
+        "closed_form_flow_rhs": float(np.max(np.abs(rhs - closed_rhs))),
+        "frictional_hamiltonian_flow": float(np.max(np.abs(hamiltonian_rhs - closed_rhs))),
     }
 
 
@@ -138,9 +146,10 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
     for psi in _probe_states(cfg):
         w = total_decay_rate(spec, psi)
         wp_op = modified_rate_operator(spec, psi)
-        generic.append(_generic_defects(spec, flow, psi, w, wp_op))
+        rhs, flow_rate = rhs_block(flow, psi[:, None], want_rate=True)
+        generic.append(_generic_defects(spec, psi, rhs[:, 0], float(flow_rate[0]), w, wp_op))
         if params is not None:
-            oscillator.append(_oscillator_defects(spec, params, psi, w, wp_op))
+            oscillator.append(_oscillator_defects(spec, params, psi, rhs[:, 0], w, wp_op))
 
     checks = list(validate_generator(spec).checks)
     checks += [CheckItem.worst_of(name, [d[name] for d in generic], tol) for name, tol in GENERIC_CHECKS]
@@ -151,7 +160,10 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
     ratio = coarse / fine if fine != 0.0 else 0.0
     checks.append(CheckItem("single_step_order_ratio", fine == 0.0 or lo <= ratio <= hi, ratio, hi))
     if params is not None:
-        checks += [CheckItem.worst_of(name, [d[name] for d in oscillator], tol) for name, tol in OSCILLATOR_CHECKS]
+        # H_fr generates the flow only where [x, p] = i hbar holds, as on the random truncation-safe
+        # probes; the initial state may have weight at the top level, so that row skips it
+        del oscillator[0]["frictional_hamiltonian_flow"]
+        checks += [CheckItem.worst_of(name, [d[name] for d in oscillator if name in d], tol) for name, tol in OSCILLATOR_CHECKS]
         print(f"initial state occupancy tail: {cfg.initial_tail:.3e}", file=out)
 
     for check in checks:
@@ -215,6 +227,13 @@ def cmd_ensemble(cfg: RunConfig, threads: int = 1) -> list[str]:
     return written
 
 
+def _thread_count(text: str) -> int:
+    """A thread count as --threads and QJUMP_THREADS give it: a nonnegative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qjump", description="Stochastic pure-state simulator for Markovian master equations")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -229,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="base seed (overrides the config)")
         p.add_argument(
             "--threads",
-            type=int,
+            type=_thread_count,
             default=None,
             help="worker threads for ensemble runs; 0 means all cores this process may use (default, or QJUMP_THREADS)",
         )
@@ -242,9 +261,9 @@ def _resolve_thread_request(args: argparse.Namespace) -> int:
     env = os.environ.get("QJUMP_THREADS", "").strip()
     if env:
         try:
-            return int(env)
-        except ValueError:
-            print(f"warning: ignoring non-integer QJUMP_THREADS={env!r}", file=sys.stderr)
+            return _thread_count(env)
+        except argparse.ArgumentTypeError as exc:
+            print(f"warning: ignoring QJUMP_THREADS: {exc}", file=sys.stderr)
     return 0
 
 

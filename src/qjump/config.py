@@ -65,6 +65,8 @@ from .trajectory import grid_step
 KNOWN_SECTIONS = ("model", "initial", "run", "observables", "output")
 BUILTIN_OBSERVABLES = ("x", "p", "number", "H0")
 MIN_INITIAL_NORM = 1e-12
+# the real-valued damped_oscillator keys and the OscillatorParams fields they set
+OSCILLATOR_REALS = (("m", "mass"), ("omega", "omega"), ("hbar", "hbar"), ("D11", "d11"), ("D22", "d22"), ("ReD12", "re_d12"), ("ImD12", "im_d12"))
 
 
 @dataclass
@@ -273,20 +275,12 @@ def _build_model(v: _Validator) -> tuple[GeneratorSpec | None, str, OscillatorPa
         return None, "", None
     kind = entry.value.strip()
     if kind == "damped_oscillator":
-        kwargs = {
-            "levels": v.typed("model", "N", _int, "an integer", default=20),
-            "mass": v.typed("model", "m", _float, "a real number", default=1.0),
-            "omega": v.typed("model", "omega", _float, "a real number", default=1.0),
-            "hbar": v.typed("model", "hbar", _float, "a real number", default=1.0),
-            "d11": v.typed("model", "D11", _float, "a real number", default=0.0),
-            "d22": v.typed("model", "D22", _float, "a real number", default=0.5),
-            "re_d12": v.typed("model", "ReD12", _float, "a real number", default=0.0),
-            "im_d12": v.typed("model", "ImD12", _float, "a real number", default=0.0),
-        }
-        if any(value is None for value in kwargs.values()):
-            return None, kind, None
+        read = {"levels": v.typed("model", "N", _int, "an integer")}
+        for key, name in OSCILLATOR_REALS:
+            read[name] = v.typed("model", key, _float, "a real number")
         try:
-            params = OscillatorParams(**kwargs)
+            # an absent or unreadable key keeps its OscillatorParams default
+            params = OscillatorParams(**{name: value for name, value in read.items() if value is not None})
             spec = oscillator_generator(params)
         except InvalidGenerator as exc:
             v.error(v.section_line("model"), f"invalid damped_oscillator model: {exc}")
@@ -503,8 +497,8 @@ def parse_config(text: str) -> RunConfig:
                 seen_steps.add(k)
     if indices is not None:
         for idx in indices:
-            if idx < 0:
-                v.error(v.get("run", "trajectory_indices").line, f"trajectory index {idx} is negative")
+            if not 0 <= idx < 2**64:
+                v.error(v.get("run", "trajectory_indices").line, f"trajectory index must be in [0, 2^64), got {idx}")
 
     out_dir = v.typed("output", "directory", str, "a path", default="out")
     dump_density = v.typed("output", "dump_density", _bool, "a boolean", default=False)

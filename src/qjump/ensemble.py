@@ -3,9 +3,9 @@
 The ensemble mean of trajectory projectors must reproduce the density
 operator evolved directly under the generator.  This module holds both
 sides of that comparison: the direct Runge-Kutta master integrator (the
-oracle), the trajectory-ensemble estimator, the single-step algebraic
-equivalence check, and the convergence report that quantifies their
-distance with a jackknife error bar.
+oracle), the single-step algebraic equivalence check, and the
+convergence report that quantifies their distance with a jackknife
+error bar.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from ._batch import run_batch, single_blas_thread
 from ._flow import compile_flow, rk4_step
 from ._io import fmt, write_lines
-from .errors import DimensionMismatch, EmptyEnsemble, PositivityLost
+from .errors import PositivityLost
 from .generator import GeneratorSpec, apply_generator
 from .linalg import as_operator, as_state, hermiticity_defect, normalize, outer, trace_distance
 from .trajectory import TrajectoryConfig, grid_step
@@ -72,19 +72,6 @@ class ConvergenceReport:
     rho_mc: np.ndarray  # (S, d, d)
     rho_oracle: np.ndarray  # (S, d, d)
     n_trajectories: int
-
-
-def ensemble_density(states: np.ndarray) -> np.ndarray:
-    """Uniform mean of projectors (1/M) sum |psi_i><psi_i|.
-
-    Accepts an (M, d) array or a sequence of state vectors.
-    """
-    arr = np.asarray(states, dtype=np.complex128)
-    if arr.size == 0:
-        raise EmptyEnsemble("ensemble mean over zero states")
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"expected a stack of state vectors, got shape {arr.shape}")
-    return np.einsum("md,me->de", arr, arr.conj()) / arr.shape[0]
 
 
 def master_step(spec: GeneratorSpec, rho: np.ndarray, dt: float) -> np.ndarray:

@@ -42,10 +42,6 @@ class PositivityLost(QJumpError):
     """A density operator developed an eigenvalue below the negativity tolerance."""
 
 
-class EmptyEnsemble(QJumpError):
-    """An ensemble average was requested over zero states."""
-
-
 class ConfigError(QJumpError):
     """Base class for configuration file problems."""
 

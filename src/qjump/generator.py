@@ -24,6 +24,8 @@ from .errors import DimensionMismatch, InvalidGenerator
 from .linalg import HERMITICITY_TOL, as_operator, hermiticity_defect, lowest_eigenvalue
 
 PSD_TOL = -1e-10
+N_PROBE_OPERATORS = 10
+PROBE_SEED = 0
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -184,7 +186,7 @@ def structural_checks(spec: GeneratorSpec) -> list[CheckItem]:
     return checks
 
 
-def validate_generator(spec: GeneratorSpec, n_probes: int = 10, seed: int = 0) -> GeneratorReport:
+def validate_generator(spec: GeneratorSpec) -> GeneratorReport:
     """Structural checks plus two probes of trace freeness and hermiticity.
 
     The probes apply the generator to random Hermitian operators of unit
@@ -192,8 +194,8 @@ def validate_generator(spec: GeneratorSpec, n_probes: int = 10, seed: int = 0) -
     trace free and Hermitian.  Works on strict=False specs so that broken
     input is diagnosed rather than rejected outright.
     """
-    rng = np.random.default_rng(seed)
-    images = [_apply(spec, random_hermitian(spec.dim, rng)) for _ in range(n_probes)]
+    rng = np.random.default_rng(PROBE_SEED)
+    images = [_apply(spec, random_hermitian(spec.dim, rng)) for _ in range(N_PROBE_OPERATORS)]
     traces = [abs(complex(np.trace(image))) for image in images]
     herms = [hermiticity_defect(image) for image in images]
     return GeneratorReport(
@@ -203,20 +205,6 @@ def validate_generator(spec: GeneratorSpec, n_probes: int = 10, seed: int = 0) -
             CheckItem.worst_of("probe_hermiticity_preserving", herms, HERMITICITY_TOL),
         ]
     )
-
-
-def density_defects(rho: np.ndarray) -> dict[str, float]:
-    """Deviation of rho from a valid density operator.
-
-    Returns trace deviation |tr rho - 1|, hermiticity defect, and the most
-    negative eigenvalue (0.0 if the spectrum is nonnegative).
-    """
-    rho = as_operator(rho)
-    trace_dev = abs(complex(np.trace(rho)) - 1.0)
-    herm = hermiticity_defect(rho)
-    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    neg = float(min(eigs.min(), 0.0))
-    return {"trace": float(trace_dev), "hermiticity": herm, "negative_eigenvalue": neg}
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -112,7 +112,7 @@ def fix_phase(vec: np.ndarray) -> np.ndarray:
     return _fix_phases(as_state(vec)[:, None])[:, 0]
 
 
-def eigh_phase_fixed(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigh_phase_fixed(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and phase-fixed eigenvectors of a Hermitian matrix.
 
     Returns (w, V) with w ascending and V[:, n] the eigenvector for w[n].
@@ -121,7 +121,7 @@ def eigh_phase_fixed(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.
     comparison of the phase-fixed vectors (real, imaginary, real, ... of
     entry 0, 1, ...), so identical input yields identical output.
     """
-    mat = require_hermitian(mat, tol=tol, name="eigendecomposition input")
+    mat = require_hermitian(mat, name="eigendecomposition input")
     w, v = np.linalg.eigh(mat)
     v = _fix_phases(v)
     # eigh returns w ascending, so only runs of exactly equal eigenvalues need ordering

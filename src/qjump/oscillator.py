@@ -26,6 +26,8 @@ from .linalg import as_state, fix_phase, lowest_eigenvalue, normalize
 from .unraveling import RateReport, JumpChannel, channels_from_rate_operator
 
 TRUNCATION_TOL = 1e-8
+SQUEEZE_RANGE = (-0.45, 0.45)  # minimize_hasse_defect's search interval in r
+GOLDEN_ITERATIONS = 100
 
 
 @dataclass
@@ -116,7 +118,7 @@ def generator_reference(params: OscillatorParams, rho: np.ndarray) -> np.ndarray
 
     out = (-1j / hbar) * comm(h0, rho)
     out += (-1j / hbar) * lam * comm(x, p @ rho + rho @ p)
-    re_d = np.array([[params.d11, params.re_d12], [params.re_d12, params.d22]])
+    re_d = params.coeff.real
     ops = (p, x)
     for a_idx in range(2):
         for b_idx in range(2):
@@ -190,7 +192,7 @@ def hasse_defect(psi: np.ndarray, params: OscillatorParams) -> float:
     """
     _, x, p = build_operators(params)
     sig = sigma(psi, x, p)
-    re_d = np.array([[params.d11, params.re_d12], [params.re_d12, params.d22]])
+    re_d = params.coeff.real
     contraction = float(np.sum(re_d * sig).real)
     return contraction - params.hbar**2 * params.friction / 2.0
 
@@ -260,7 +262,7 @@ def frictional_rhs_closed_form(params: OscillatorParams, psi: np.ndarray) -> np.
 
     out = (-1j / hbar) * (h0 @ psi - mean_h * psi)
     out += (-1j / hbar) * lam * (x @ ppsi + mean_p * xpsi - mean_x * ppsi - mean_xp * psi)
-    re_d = np.array([[params.d11, params.re_d12], [params.re_d12, params.d22]])
+    re_d = params.coeff.real
     ops = (p, x)
     means = (mean_p, mean_x)
     for a in range(2):
@@ -276,9 +278,11 @@ def frictional_rhs_closed_form(params: OscillatorParams, psi: np.ndarray) -> np.
 def frictional_hamiltonian(params: OscillatorParams, psi: np.ndarray) -> np.ndarray:
     """Non-Hermitian effective Hamiltonian generating the no-jump flow.
 
-    -(i/hbar)(H_fr - <H0>) psi reproduces frictional_rhs_closed_form; the
-    <H0> offset is the unobservable global phase the rhs convention
-    removes.  Built as a cross-check only, never used for integration.
+    Hasse's frictional Hamiltonian: -(i/hbar)(H_fr - <H0>) psi reproduces
+    frictional_rhs_closed_form wherever [x, p] = i hbar holds on psi (a
+    truncation-safe state); the <H0> offset is the unobservable global
+    phase the rhs convention removes.  `qjump verify` checks this on its
+    random probe states; the engines integrate the generic flow instead.
     """
     psi = as_state(psi)
     h0, x, p = build_operators(params)
@@ -290,7 +294,7 @@ def frictional_hamiltonian(params: OscillatorParams, psi: np.ndarray) -> np.ndar
     mean_x = float(np.vdot(psi, x @ psi).real)
     sig = sigma(psi, x, p)
     out = h0 + lam * (sym - mean_sym * eye + mean_p * x - mean_x * p)
-    re_d = np.array([[params.d11, params.re_d12], [params.re_d12, params.d22]])
+    re_d = params.coeff.real
     ops = (p, x)
     means = (mean_p, mean_x)
     for a in range(2):
@@ -309,8 +313,8 @@ def occupancy_tail(psi: np.ndarray) -> float:
     return float(abs(psi[-1]) ** 2 + abs(psi[-2]) ** 2)
 
 
-def is_truncation_safe(psi: np.ndarray, tol: float = TRUNCATION_TOL) -> bool:
-    return occupancy_tail(psi) <= tol
+def is_truncation_safe(psi: np.ndarray) -> bool:
+    return occupancy_tail(psi) <= TRUNCATION_TOL
 
 
 def random_truncation_safe_state(levels: int, rng: np.random.Generator, support: int | None = None) -> np.ndarray:
@@ -328,28 +332,23 @@ def random_truncation_safe_state(levels: int, rng: np.random.Generator, support:
     return normalize(psi)
 
 
-def minimize_hasse_defect(
-    params: OscillatorParams,
-    r_range: tuple[float, float] = (-0.45, 0.45),
-    iterations: int = 100,
-) -> tuple[np.ndarray, float, float]:
+def minimize_hasse_defect(params: OscillatorParams) -> tuple[np.ndarray, float, float]:
     """Golden-section scan of squeezed vacua for the smallest Hasse defect.
 
-    Returns (state, squeeze parameter, defect).  The default range keeps
-    every candidate truncation-safe at 20 levels.  The defect of squeezed
-    vacua is smooth and single-dipped in r, so the scan converges fast.
+    Returns (state, squeeze parameter, defect).  SQUEEZE_RANGE keeps every
+    candidate truncation-safe at 20 levels.  The defect of squeezed vacua
+    is smooth and single-dipped in r, so the scan converges fast.
     """
-    lo, hi = float(r_range[0]), float(r_range[1])
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
 
     def defect_at(r: float) -> float:
         return hasse_defect(squeezed_vacuum(params.levels, r), params)
 
-    a, b = lo, hi
+    a, b = SQUEEZE_RANGE
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = defect_at(c), defect_at(d)
-    for _ in range(iterations):
+    for _ in range(GOLDEN_ITERATIONS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

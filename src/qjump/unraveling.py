@@ -64,9 +64,13 @@ def _require_unit(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def generator_on_projector(spec: GeneratorSpec, psi: np.ndarray) -> np.ndarray:
-    """L[|psi><psi|] as a dense matrix."""
-    return apply_generator(spec, outer(psi))
+def _clamp_rate(w: float) -> float:
+    """w with roundoff in [-RATE_CLAMP, 0) set to 0; NegativeRate below that, NaN as it is."""
+    if w < 0.0:
+        if w < -RATE_CLAMP:
+            raise NegativeRate(f"total decay rate {w:.3e} is negative beyond roundoff")
+        w = 0.0
+    return w
 
 
 def total_decay_rate(spec: GeneratorSpec, psi: np.ndarray) -> float:
@@ -83,12 +87,7 @@ def total_decay_rate(spec: GeneratorSpec, psi: np.ndarray) -> float:
     compare the two routes.
     """
     psi = _require_unit(psi)
-    w = -float(expectation(generator_on_projector(spec, psi), psi).real)
-    if w < 0.0:
-        if w < -RATE_CLAMP:
-            raise NegativeRate(f"total decay rate {w:.3e} is negative beyond roundoff")
-        w = 0.0
-    return w
+    return _clamp_rate(-float(expectation(apply_generator(spec, outer(psi)), psi).real))
 
 
 def transition_rate_operator(spec: GeneratorSpec, psi: np.ndarray) -> np.ndarray:
@@ -140,11 +139,7 @@ def channels_from_rate_operator(w_op: np.ndarray, psi: np.ndarray) -> RateReport
     evals, vecs = eigh_phase_fixed(w_op)
     if float(evals[0]) < -NEGATIVE_RATE_TOL:
         raise NegativeRate(f"rate operator has eigenvalue {evals[0]:.3e} < -{NEGATIVE_RATE_TOL:.1e}")
-    total = float(np.trace(w_op).real)
-    if total < 0.0:
-        if total < -RATE_CLAMP:
-            raise NegativeRate(f"total decay rate {total:.3e} is negative beyond roundoff")
-        total = 0.0
+    total = _clamp_rate(float(np.trace(w_op).real))
     floor = RATE_FLOOR_REL * total
     channels: list[JumpChannel] = []
     for n in range(evals.shape[0]):
@@ -174,6 +169,6 @@ def frictional_rhs(spec: GeneratorSpec, psi: np.ndarray) -> np.ndarray:
     picks up extra norm factors.
     """
     psi = as_state(psi)
-    image = generator_on_projector(spec, psi)
+    image = apply_generator(spec, outer(psi))
     v = image @ psi
     return v - complex(np.vdot(psi, v)) * psi

@@ -35,7 +35,6 @@ from qjump.oscillator import (
 from qjump.trajectory import TrajectoryConfig, run_trajectory
 from qjump.unraveling import (
     frictional_rhs,
-    generator_on_projector,
     jump_channels,
     modified_rate_operator,
     total_decay_rate,
@@ -135,7 +134,7 @@ def test_criterion_4_operator_identities():
         count_ok = count_ok and len(jump_channels(FULL_SPEC, psi).channels) <= 2
         closed = closed_form_rate_operator(psi, FULL)
         worst["closed_form"] = max(worst["closed_form"], float(np.max(np.abs(wp_op - closed))))
-        image = generator_on_projector(FULL_SPEC, psi)
+        image = apply_generator(FULL_SPEC, outer(psi))
         basis = orthonormal_completion(psi)
         total = sum(expectation(image, basis[:, n]).real for n in range(19))
         worst["sum_rule"] = max(worst["sum_rule"], abs(total - w))

@@ -1,6 +1,7 @@
 """End-to-end command line checks on small, fast configurations."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import qjump
+from qjump import cli
 from qjump.cli import _resolve_thread_request, cmd_verify, main
 
 SMALL = """
@@ -66,6 +68,8 @@ OSCILLATOR_ROWS = (
         "closed_form_channel_reconstruction",
         "hasse_defect_rate_link",
         "reference_generator_agreement",
+        "closed_form_flow_rhs",
+        "frictional_hamiltonian_flow",
     ]
 )
 
@@ -203,7 +207,7 @@ def test_verify_passes_and_prints_report(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0].startswith("initial state occupancy tail: ")
     assert check_names(out) == OSCILLATOR_ROWS
-    assert lines[-1] == "20/20 checks passed"
+    assert lines[-1] == "22/22 checks passed"
 
 
 def test_verify_explicit_model(tmp_path, capsys):
@@ -215,6 +219,56 @@ def test_verify_explicit_model(tmp_path, capsys):
     # the oscillator-only closed-form section has nothing to check here
     assert check_names(out) == FLIP_ROWS
     assert out.splitlines()[-1] == "15/15 checks passed"
+
+
+# friction (ImD12) needs D11 D22 >= |D12|^2; fock(1) at N=8 is truncation-safe
+FRICTION = SMALL.replace("D22 = 0.5", "D11 = 0.1\nD22 = 0.5\nImD12 = 0.1")
+
+
+def verify_report(tmp_path, capsys, text):
+    path = tmp_path / "model.cfg"
+    path.write_text(text.format(out=tmp_path / "out", dump="false"))
+    code = main(["verify", "--config", str(path)])
+    return code, capsys.readouterr().out
+
+
+def failed_rows(out):
+    return check_names("\n".join(line for line in out.splitlines() if line.startswith("[FAIL]")))
+
+
+def test_verify_catches_a_hamiltonian_without_friction(tmp_path, capsys, monkeypatch):
+    frictional_hamiltonian = cli.frictional_hamiltonian
+
+    def frictionless(params, psi):
+        return frictional_hamiltonian(dataclasses.replace(params, im_d12=0.0), psi)
+
+    assert verify_report(tmp_path, capsys, FRICTION.replace("coherent(0.6)", "fock(1)"))[0] == 0
+    monkeypatch.setattr(cli, "frictional_hamiltonian", frictionless)
+    code, out = verify_report(tmp_path, capsys, FRICTION.replace("coherent(0.6)", "fock(1)"))
+    assert code == 1
+    assert failed_rows(out) == ["frictional_hamiltonian_flow"]
+
+
+def test_verify_catches_a_closed_form_rhs_without_diffusion(tmp_path, capsys, monkeypatch):
+    frictional_rhs_closed_form = cli.frictional_rhs_closed_form
+
+    def diffusionless(params, psi):
+        return frictional_rhs_closed_form(dataclasses.replace(params, d22=0.0), psi)
+
+    monkeypatch.setattr(cli, "frictional_rhs_closed_form", diffusionless)
+    code, out = verify_report(tmp_path, capsys, SMALL)
+    assert code == 1
+    # H_fr is judged against the closed form, so its row fails with it
+    assert failed_rows(out) == ["closed_form_flow_rhs", "frictional_hamiltonian_flow"]
+
+
+def test_hamiltonian_row_skips_an_unsafe_initial_state(tmp_path, capsys):
+    # coherent(0.6) at N=8 leaves 2.2e-6 in the top two levels; with friction,
+    # H_fr misses the flow there by 2.6e-4, and the row judges the probes only
+    code, out = verify_report(tmp_path, capsys, FRICTION)
+    assert "initial state occupancy tail: 2.218e-06" in out
+    assert "[PASS] frictional_hamiltonian_flow" in out
+    assert "[PASS] closed_form_flow_rhs" in out
 
 
 def test_trajectory_outputs(tmp_path):
@@ -294,6 +348,29 @@ def test_thread_request_resolution(monkeypatch):
     assert _resolve_thread_request(ns) == 3
     monkeypatch.setenv("QJUMP_THREADS", "soup")
     assert _resolve_thread_request(ns) == 0
+
+
+def test_trajectory_index_beyond_uint64_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "index.cfg"
+    text = SMALL.replace("seed = 3", "seed = 3\ntrajectory_indices = 18446744073709551616")
+    path.write_text(text.format(out=tmp_path / "out", dump="false"))
+    assert main(["trajectory", "--config", str(path)]) == 2
+    assert "line 16: trajectory index must be in [0, 2^64), got 18446744073709551616" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_thread_count_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["ensemble", "--config", write_config(tmp_path), "--threads", "-1"])
+    assert info.value.code == 2
+    assert "argument --threads: expected a nonnegative integer, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_thread_env_is_ignored_with_a_warning(monkeypatch, capsys):
+    monkeypatch.setenv("QJUMP_THREADS", "-2")
+    assert _resolve_thread_request(argparse.Namespace(threads=None)) == 0
+    assert "warning: ignoring QJUMP_THREADS: expected a nonnegative integer, got '-2'" in capsys.readouterr().err
 
 
 def test_density_dump_round_trip(tmp_path):

@@ -186,6 +186,12 @@ def test_all_validation_errors_collected_with_lines():
     assert any("[initial]" in msg for _, msg in errors)
 
 
+@pytest.mark.parametrize("index", ["-1", "18446744073709551616"])
+def test_trajectory_index_outside_uint64_rejected(index):
+    text = MINIMAL.replace("seed = 42", f"seed = 42\ntrajectory_indices = 0 {index}")
+    assert errors_of(text) == [(15, f"trajectory index must be in [0, 2^64), got {index}")]
+
+
 def test_fock_out_of_range():
     text = MINIMAL.replace("fock(0)", "fock(20)")
     assert any("fock(20)" in msg for _, msg in errors_of(text))

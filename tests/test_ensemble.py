@@ -13,14 +13,13 @@ from qjump._batch import run_batch
 from qjump.ensemble import (
     ConvergenceReport,
     EnsembleConfig,
-    ensemble_density,
     master_evolve,
     master_step,
     run_ensemble,
     single_step_equivalence_test,
     write_convergence_csv,
 )
-from qjump.errors import DimensionMismatch, EmptyEnsemble, PositivityLost
+from qjump.errors import PositivityLost
 from qjump.generator import GeneratorSpec
 from qjump.linalg import normalize, outer, trace_distance
 from qjump.oscillator import (
@@ -36,18 +35,6 @@ FLIP = GeneratorSpec(hamiltonian=np.zeros((2, 2)), couplings=(SX,), coeff=[[0.5]
 OSC = oscillator_generator(OscillatorParams(levels=20, d22=0.5))
 E0_2 = np.array([1.0, 0.0], dtype=np.complex128)
 POP0 = np.diag([1.0, 0.0]).astype(np.complex128)
-
-
-def test_ensemble_density_basics():
-    psi = normalize(np.array([1.0, 1.0j]))
-    single = ensemble_density(psi[np.newaxis, :])
-    assert np.max(np.abs(single - outer(psi))) < 1e-15
-    pair = np.stack([np.array([1.0, 0.0]), np.array([0.0, 1.0])]).astype(np.complex128)
-    assert np.max(np.abs(ensemble_density(pair) - 0.5 * np.eye(2))) < 1e-15
-    with pytest.raises(EmptyEnsemble):
-        ensemble_density(np.zeros((0, 2), dtype=np.complex128))
-    with pytest.raises(DimensionMismatch):
-        ensemble_density(np.zeros(3, dtype=np.complex128))
 
 
 def test_master_step_preserves_density_structure():

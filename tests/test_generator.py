@@ -15,7 +15,6 @@ from qjump.generator import (
     CheckItem,
     GeneratorSpec,
     apply_generator,
-    density_defects,
     random_hermitian,
     validate_generator,
 )
@@ -199,13 +198,3 @@ def test_spec_arrays_are_read_only():
     spec = spec_2level()
     with pytest.raises(ValueError):
         spec.hamiltonian[0, 0] = 1.0
-
-
-def test_density_defects():
-    clean = density_defects(np.diag([0.5, 0.5]).astype(complex))
-    assert clean["trace"] < 1e-15
-    assert clean["hermiticity"] == 0.0
-    assert clean["negative_eigenvalue"] == 0.0
-    off = density_defects(np.diag([1.2, -0.2]).astype(complex))
-    assert off["trace"] < 1e-15
-    assert off["negative_eigenvalue"] == pytest.approx(-0.2)
