@@ -13,13 +13,18 @@ uniforms WINDOW steps at a time, so its memory does not grow with
 n_steps; Philox draws split at any row boundary equal one whole draw, so
 WINDOW is not part of the contract.
 
-Every step, here at M = CHUNK and in trajectory.run_trajectory at M = 1,
-goes through jump_step: Bernoulli jump with probability w dt decided by
-the first uniform, channel selection by cumulative scan with the second,
-jump replacing the whole step.  Each state's flow evaluation is computed
-once and carried into the next step, where it gives both w and the first
-Runge-Kutta stage.  Jumps are rare, so the channel eigenproblem is
-solved per jumping column only.
+Both engines step through one loop, integrate: run_batch's chunks and
+trajectory.run_trajectories' blocks of requested indices.  It draws each
+column's uniforms WINDOW steps at a time from that column's stream and
+takes every step through jump_step: Bernoulli jump with probability w dt
+decided by the first uniform, channel selection by cumulative scan with
+the second, jump replacing the whole step.  Each state's flow evaluation
+is computed once and carried into the next step, where it gives both w
+and the first Runge-Kutta stage.  Jumps are rare, so the channel
+eigenproblem is solved per jumping column only.  A column's jump
+decisions depend only on its stream and its own state, never on which
+other columns share its block; its last bits may, since BLAS sums a
+block of several columns in another order than a single one.
 
 The worker threads are the engine's only parallelism.  For the duration
 of run_batch (and of ensemble.run_ensemble, which includes the oracle
@@ -38,6 +43,7 @@ import functools
 import os
 import threading
 import warnings
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -160,8 +166,8 @@ def select_channel(report: RateReport, u2: float) -> int:
     return int(rates.size - 1)
 
 
-def _where(first: int, j: int, step: int, dt: float) -> str:
-    return f"trajectory {first + j} at t={(step + 1) * dt:.12g}"
+def _where(indices: Sequence[int], j: int, step: int, dt: float) -> str:
+    return f"trajectory {indices[j]} at t={(step + 1) * dt:.12g}"
 
 
 def jump_step(
@@ -172,14 +178,14 @@ def jump_step(
     dt: float,
     u: np.ndarray,
     step: int,
-    first: int = 0,
+    indices: Sequence[int],
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], float, list[tuple[int, float, int]]]:
     """One step of the jump policy for every column of the (d, M) block psi.
 
     evaluation is _flow.rhs_block(flow, psi, want_rate=True): the flow rhs
     and the decay rate w at psi.  It supplies both the jump probability
     w dt and the first Runge-Kutta stage, so each state is evaluated once.
-    Column j is trajectory first + j, u[:, j] is its pair of uniforms for
+    Column j is trajectory indices[j], u[:, j] is its pair of uniforms for
     this step and the step lands on t = (step + 1) dt; errors name both.
     A column jumps when u[0, j] < w dt; the jump replaces the whole step
     with the channel that u[1, j] selects.  Every other column takes the
@@ -193,7 +199,7 @@ def jump_step(
     bad = np.flatnonzero(rate < -RATE_CLAMP)
     if bad.size:
         j = int(bad[0])
-        raise NegativeRate(f"{_where(first, j, step, dt)}: total decay rate {rate[j]:.3e} is negative beyond roundoff")
+        raise NegativeRate(f"{_where(indices, j, step, dt)}: total decay rate {rate[j]:.3e} is negative beyond roundoff")
     rate = np.maximum(rate, 0.0)
     prob = rate * dt
     # a negated in-bounds test, so that a NaN or inf probability fails it too
@@ -201,7 +207,7 @@ def jump_step(
     if bad.size:
         j = int(bad[0])
         raise StepTooLarge(
-            f"{_where(first, j, step, dt)}: jump probability {prob[j]:.3f} per step exceeds {JUMP_PROB_MAX}; reduce dt",
+            f"{_where(indices, j, step, dt)}: jump probability {prob[j]:.3f} per step exceeds {JUMP_PROB_MAX}; reduce dt",
             column=j,
         )
     jumps: list[tuple[int, float, int]] = []
@@ -212,7 +218,7 @@ def jump_step(
         if not report.channels:
             if rate[j] > RATE_FLOOR_ABS:
                 raise EmptyChannels(
-                    f"{_where(first, j, step, dt)}: decay rate {rate[j]:.3e} but every channel was filtered out"
+                    f"{_where(indices, j, step, dt)}: decay rate {rate[j]:.3e} but every channel was filtered out"
                 )
             continue
         chosen = select_channel(report, float(u[1, j]))
@@ -225,10 +231,40 @@ def jump_step(
         try:
             psi_next = _flow.rk4_step_block(flow, psi, dt, k1=k1)
         except StepTooLarge as exc:
-            raise StepTooLarge(f"{_where(first, exc.column, step, dt)}: {exc}", column=exc.column) from exc
+            raise StepTooLarge(f"{_where(indices, exc.column, step, dt)}: {exc}", column=exc.column) from exc
     for j, target in targets.items():
         psi_next[:, j] = target
     return psi_next, _flow.rhs_block(flow, psi_next, want_rate=True), float(prob.max()), jumps
+
+
+def integrate(
+    spec: GeneratorSpec,
+    flow: _flow.CompiledFlow,
+    psi: np.ndarray,
+    seed: int,
+    indices: Sequence[int],
+    dt: float,
+    n_steps: int,
+) -> Iterator[tuple[int, np.ndarray, float, list[tuple[int, float, int]]]]:
+    """Take the (d, M) block psi through n_steps steps of jump_step.
+
+    Column j is trajectory indices[j] and draws two uniforms per step
+    from trajectory_rng(seed, indices[j]), WINDOW steps at a time.
+    Yields (step, block, largest jump probability, jumps) after every
+    step, block being the state at t = (step + 1) dt and jumps as
+    jump_step returns them.
+    """
+    streams = [trajectory_rng(seed, index) for index in indices]
+    uniforms = np.empty((min(WINDOW, n_steps), 2, len(streams)), dtype=np.float64)
+    evaluation = _flow.rhs_block(flow, psi, want_rate=True)
+    for i in range(n_steps):
+        row = i % WINDOW
+        if row == 0:
+            rows = min(WINDOW, n_steps - i)
+            for j, stream in enumerate(streams):
+                uniforms[:rows, :, j] = stream.random((rows, 2))
+        psi, evaluation, prob, jumps = jump_step(spec, flow, psi, evaluation, dt, uniforms[row], i, indices)
+        yield i, psi, prob, jumps
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -313,8 +349,6 @@ def run_batch(
     def run_chunk(lo: int, hi: int) -> _ChunkPartial:
         m = hi - lo
         psi = np.repeat(psi0[:, None], m, axis=1)
-        streams = [trajectory_rng(seed, lo + j) for j in range(m)]
-        uniforms = np.empty((min(WINDOW, n_steps), 2, m), dtype=np.float64)
         ids = block_of(np.arange(lo, hi, dtype=np.int64))
         # chunk columns are consecutive trajectory indices, so each block
         # occupies one contiguous column range
@@ -343,14 +377,7 @@ def run_batch(
         slot = slot_of.get(0)
         if slot is not None:
             accumulate(slot, psi)
-        evaluation = _flow.rhs_block(flow, psi, want_rate=True)
-        for i in range(n_steps):
-            row = i % WINDOW
-            if row == 0:
-                rows = min(WINDOW, n_steps - i)
-                for j, stream in enumerate(streams):
-                    uniforms[:rows, :, j] = stream.random((rows, 2))
-            psi, evaluation, prob, jumps = jump_step(spec, flow, psi, evaluation, dt, uniforms[row], i, lo)
+        for i, psi, prob, jumps in integrate(spec, flow, psi, seed, range(lo, hi), dt, n_steps):
             pmax = max(pmax, prob)
             if log is not None:
                 log.extend((lo + j, (i + 1) * dt, rate, chosen) for j, rate, chosen in jumps)

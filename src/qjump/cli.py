@@ -43,7 +43,7 @@ from .oscillator import (
     hasse_defect,
     random_truncation_safe_state,
 )
-from .trajectory import TrajectoryConfig, run_trajectory, write_event_log
+from .trajectory import TrajectoryConfig, run_trajectories, write_event_log
 from .unraveling import (
     RateReport,
     channels_from_rate_operator,
@@ -160,9 +160,10 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
     ratio = coarse / fine if fine != 0.0 else 0.0
     checks.append(CheckItem("single_step_order_ratio", fine == 0.0 or lo <= ratio <= hi, ratio, hi))
     if params is not None:
-        # H_fr generates the flow only where [x, p] = i hbar holds, as on the random truncation-safe
-        # probes; the initial state may have weight at the top level, so that row skips it
-        del oscillator[0]["frictional_hamiltonian_flow"]
+        # H_fr generates the flow, and w = (2/hbar^2) hasse_defect links the rate to Hasse's defect, only
+        # where [x, p] = i hbar holds, as on the random truncation-safe probes; the initial state may
+        # have weight at the top level, so those two rows skip it
+        del oscillator[0]["hasse_defect_rate_link"], oscillator[0]["frictional_hamiltonian_flow"]
         checks += [CheckItem.worst_of(name, [d[name] for d in oscillator if name in d], tol) for name, tol in OSCILLATOR_CHECKS]
         print(f"initial state occupancy tail: {cfg.initial_tail:.3e}", file=out)
 
@@ -176,16 +177,10 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
 def cmd_trajectory(cfg: RunConfig) -> list[str]:
     """One observable CSV and one event log per configured trajectory index."""
     os.makedirs(cfg.out_dir, exist_ok=True)
+    tcfg = TrajectoryConfig(dt=cfg.dt, t_final=cfg.t_final, seed=cfg.seed, observables=cfg.observables)
+    records = run_trajectories(cfg.generator, cfg.initial_state, tcfg, cfg.trajectory_indices)
     written = []
-    for idx in cfg.trajectory_indices:
-        tcfg = TrajectoryConfig(
-            dt=cfg.dt,
-            t_final=cfg.t_final,
-            seed=cfg.seed,
-            trajectory_index=idx,
-            observables=cfg.observables,
-        )
-        record = run_trajectory(cfg.generator, cfg.initial_state, tcfg)
+    for idx, record in zip(cfg.trajectory_indices, records):
         names = list(record.observables)
         lines = ["time" + "".join(f",{name}" for name in names)]
         for i, t in enumerate(record.times):

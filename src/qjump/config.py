@@ -201,8 +201,13 @@ def _float(text: str) -> float:
 
 
 def _int(text: str) -> int:
+    """An integer, exact however large; a real literal such as 1e3 or 5.0 only if it is integral."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
     value = float(text)
-    if int(value) != value:
+    if not value.is_integer():
         raise ValueError(f"{text!r} is not an integer")
     return int(value)
 
@@ -496,9 +501,14 @@ def parse_config(text: str) -> RunConfig:
             else:
                 seen_steps.add(k)
     if indices is not None:
+        seen_indices = set()
         for idx in indices:
             if not 0 <= idx < 2**64:
                 v.error(v.get("run", "trajectory_indices").line, f"trajectory index must be in [0, 2^64), got {idx}")
+            elif idx in seen_indices:
+                v.error(v.get("run", "trajectory_indices").line, f"trajectory index {idx} is listed twice")
+            else:
+                seen_indices.add(idx)
 
     out_dir = v.typed("output", "directory", str, "a path", default="out")
     dump_density = v.typed("output", "dump_density", _bool, "a boolean", default=False)

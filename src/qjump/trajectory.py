@@ -9,23 +9,25 @@ random stream is a counter-based Philox generator keyed by
 ensemble can be reproduced in isolation and ensembles need no
 coordination between trajectories.
 
-run_trajectory takes every step through _batch.jump_step, the step
-policy the ensemble engine uses, on a block of one column; it adds only
-the per-step observable series and the jump events.  Trajectory j run
-alone therefore makes the same jump decisions as trajectory j of an
-ensemble.
+run_trajectories steps its trajectory indices as the columns of one
+block, up to _batch.CHUNK at a time, through _batch.integrate, the step
+loop the ensemble engine uses; it adds only the per-step observable
+series and the jump events.  Trajectory j therefore makes the same jump
+decisions whether it runs alone, next to other indices or inside an
+ensemble.  run_trajectory is the one-index case.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._batch import JUMP_PROB_WARN, jump_step, trajectory_rng
-from ._flow import compile_flow, rhs_block
+from . import _batch, _flow
+from ._batch import JUMP_PROB_WARN, trajectory_rng  # noqa: F401  re-exported: the streams this module documents
 from ._io import fmt, write_lines
 from .errors import DimensionMismatch
 from .generator import GeneratorSpec
@@ -101,50 +103,74 @@ class TrajectoryRecord:
     final_state: np.ndarray
 
 
-def run_trajectory(spec: GeneratorSpec, psi0: np.ndarray, cfg: TrajectoryConfig) -> TrajectoryRecord:
-    """Evolve one trajectory on the configured grid.
+def run_trajectories(
+    spec: GeneratorSpec, psi0: np.ndarray, cfg: TrajectoryConfig, indices: Sequence[int]
+) -> list[TrajectoryRecord]:
+    """Evolve the trajectories indices on the configured grid, one record per index.
 
-    Identical (spec, psi0, cfg) inputs give bitwise-identical records:
-    the RNG stream is fixed by (seed, trajectory_index) with exactly two
-    uniforms consumed per step whether or not a jump fires.
+    cfg.trajectory_index is not used: the indices name the streams.  The
+    indices are integrated as the columns of blocks of up to
+    _batch.CHUNK, so an error in any column stops the whole run.
+    Identical inputs give bitwise-identical records: each stream is fixed
+    by (seed, index) with exactly two uniforms consumed per step whether
+    or not a jump fires.
     """
+    indices = tuple(int(index) for index in indices)
+    for index in indices:
+        if not 0 <= index < 2**64:
+            raise ValueError(f"trajectory index must be an integer in [0, 2^64), got {index}")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"trajectory indices {indices} repeat an index")
     psi = normalize(as_state(psi0))
-    if psi.shape[0] != spec.dim:
-        raise DimensionMismatch(f"state dimension {psi.shape[0]} does not match generator dimension {spec.dim}")
+    d = spec.dim
+    if psi.shape[0] != d:
+        raise DimensionMismatch(f"state dimension {psi.shape[0]} does not match generator dimension {d}")
     for name, mat in cfg.observables.items():
-        if mat.shape[0] != spec.dim:
-            raise DimensionMismatch(f"observable {name!r} has dimension {mat.shape[0]}, expected {spec.dim}")
-    flow = compile_flow(spec)
-    rng = trajectory_rng(cfg.seed, cfg.trajectory_index)
+        if mat.shape[0] != d:
+            raise DimensionMismatch(f"observable {name!r} has dimension {mat.shape[0]}, expected {d}")
+    flow = _flow.compile_flow(spec)
     n = cfg.n_steps
     names = list(cfg.observables)
-    values = np.empty((len(names), n + 1), dtype=np.float64)
-    series = dict(zip(names, values))
-    obs_stack = np.reshape([cfg.observables[name] for name in names], (-1, spec.dim))
+    obs_stack = np.reshape([cfg.observables[name] for name in names], (-1, d))
 
-    def record(step: int, state: np.ndarray) -> None:
-        values[:, step] = np.vecdot(state, (obs_stack @ state).reshape(-1, spec.dim)).real
+    def observe(states: np.ndarray) -> np.ndarray:
+        """(M, K) expectations: one stacked product, one vecdot."""
+        return np.vecdot(states, (obs_stack @ states).reshape(-1, d, states.shape[1]), axis=-2).real.T
 
-    jumps: list[JumpEvent] = []
-    block = psi[:, None]
-    evaluation = rhs_block(flow, block, want_rate=True)
+    times = cfg.times
+    records: list[TrajectoryRecord] = []
     warned = False
-    record(0, psi)
-    for i in range(n):
-        u = rng.random((2, 1))
-        nxt, evaluation, prob, fired = jump_step(spec, flow, block, evaluation, cfg.dt, u, i, cfg.trajectory_index)
-        if prob > JUMP_PROB_WARN and not warned:
-            warnings.warn(
-                f"trajectory {cfg.trajectory_index} at t={(i + 1) * cfg.dt:.12g}: jump probability {prob:.3f} per step exceeds {JUMP_PROB_WARN}: discretization bias is first order in dt",
-                stacklevel=2,
-            )
-            warned = True
-        for _, rate, chosen in fired:
-            pre_norm = float(np.linalg.norm(block[:, 0]))
-            jumps.append(JumpEvent(time=(i + 1) * cfg.dt, channel_rate=rate, pre_state_norm_check=pre_norm, target_index=chosen))
-        block = nxt
-        record(i + 1, block[:, 0])
-    return TrajectoryRecord(times=cfg.times, observables=series, jumps=jumps, final_state=block[:, 0])
+    for lo in range(0, len(indices), _batch.CHUNK):
+        chunk = indices[lo : lo + _batch.CHUNK]
+        m = len(chunk)
+        values = np.empty((m, len(names), n + 1), dtype=np.float64)
+        events: list[list[JumpEvent]] = [[] for _ in chunk]
+        block = np.repeat(psi[:, None], m, axis=1)
+        values[:, :, 0] = observe(block)
+        for i, nxt, prob, fired in _batch.integrate(spec, flow, block, cfg.seed, chunk, cfg.dt, n):
+            if prob > JUMP_PROB_WARN and not warned:
+                # the column of the largest probability, from the rates of the state it stepped from
+                j = int(np.argmax(_flow.rhs_block(flow, block, want_rate=True)[1]))
+                warnings.warn(
+                    f"trajectory {chunk[j]} at t={(i + 1) * cfg.dt:.12g}: jump probability {prob:.3f} per step exceeds {JUMP_PROB_WARN}: discretization bias is first order in dt",
+                    stacklevel=2,
+                )
+                warned = True
+            for j, rate, chosen in fired:
+                pre_norm = float(np.linalg.norm(block[:, j]))
+                events[j].append(JumpEvent(time=(i + 1) * cfg.dt, channel_rate=rate, pre_state_norm_check=pre_norm, target_index=chosen))
+            block = nxt
+            values[:, :, i + 1] = observe(block)
+        records += [
+            TrajectoryRecord(times=times, observables=dict(zip(names, values[j])), jumps=events[j], final_state=block[:, j])
+            for j in range(m)
+        ]
+    return records
+
+
+def run_trajectory(spec: GeneratorSpec, psi0: np.ndarray, cfg: TrajectoryConfig) -> TrajectoryRecord:
+    """Evolve trajectory cfg.trajectory_index on the configured grid."""
+    return run_trajectories(spec, psi0, cfg, (cfg.trajectory_index,))[0]
 
 
 def write_event_log(record: TrajectoryRecord, path: str) -> None:

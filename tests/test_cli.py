@@ -271,6 +271,22 @@ def test_hamiltonian_row_skips_an_unsafe_initial_state(tmp_path, capsys):
     assert "[PASS] closed_form_flow_rhs" in out
 
 
+def test_friction_model_off_the_safe_set_passes_verify(tmp_path, capsys):
+    # the rate link to Hasse's defect also needs [x, p] = i hbar, so it skips the initial state too
+    code, out = verify_report(tmp_path, capsys, FRICTION)
+    assert "[PASS] hasse_defect_rate_link" in out
+    assert out.splitlines()[-1] == "22/22 checks passed"
+    assert code == 0
+
+
+def test_verify_catches_a_wrong_hasse_defect(tmp_path, capsys, monkeypatch):
+    hasse_defect = cli.hasse_defect
+    monkeypatch.setattr(cli, "hasse_defect", lambda psi, params: 2.0 * hasse_defect(psi, params))
+    code, out = verify_report(tmp_path, capsys, FRICTION)
+    assert code == 1
+    assert failed_rows(out) == ["hasse_defect_rate_link"]
+
+
 def test_trajectory_outputs(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["trajectory", "--config", cfg]) == 0
@@ -306,6 +322,36 @@ def test_trajectory_multiple_indices(tmp_path):
     a = (tmp_path / "out" / "jumps_00000.csv").read_text()
     b = (tmp_path / "out" / "jumps_00002.csv").read_text()
     assert a != b  # different trajectory index, different stream
+
+
+def jump_rows(path):
+    """(time, event_type, target_index) of every row of an event log."""
+    return [tuple(line.split(",")[i] for i in (0, 1, 3)) for line in path.read_text().splitlines()]
+
+
+def test_trajectory_index_jumps_do_not_depend_on_its_neighbours(tmp_path):
+    # indices 0 and 2 run as one block, then each alone
+    runs = {}
+    for indices in ("0 2", "0", "2"):
+        out = tmp_path / indices.replace(" ", "_")
+        path = tmp_path / "model.cfg"
+        text = SMALL.replace("seed = 3", f"seed = 3\ntrajectory_indices = {indices}").replace("t_final = 0.2", "t_final = 1.0")
+        path.write_text(text.replace("snapshot_times = 0.1 0.2", "snapshot_times = 1.0").format(out=out, dump="false"))
+        assert main(["trajectory", "--config", str(path)]) == 0
+        runs[indices] = out
+    for index in ("0", "2"):
+        alone = jump_rows(runs[index] / f"jumps_{int(index):05d}.csv")
+        assert jump_rows(runs["0 2"] / f"jumps_{int(index):05d}.csv") == alone
+    assert any(row[1] == "jump" for row in jump_rows(runs["0"] / "jumps_00000.csv"))
+
+
+def test_trajectory_repeated_index_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "index.cfg"
+    text = SMALL.replace("seed = 3", "seed = 3\ntrajectory_indices = 0 0")
+    path.write_text(text.format(out=tmp_path / "out", dump="false"))
+    assert main(["trajectory", "--config", str(path)]) == 2
+    assert "line 16: trajectory index 0 is listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_ensemble_outputs_and_thread_independence(tmp_path):

@@ -192,6 +192,31 @@ def test_trajectory_index_outside_uint64_rejected(index):
     assert errors_of(text) == [(15, f"trajectory index must be in [0, 2^64), got {index}")]
 
 
+def test_integers_parse_exactly():
+    # above 2^53 a float would round: 2^64 - 1 to 2^64, 2^53 + 1 to 2^53
+    text = MINIMAL.replace("seed = 42", "seed = 18446744073709551615\ntrajectory_indices = 9007199254740993 1e3 5.0")
+    cfg = parse_config(text)
+    assert cfg.seed == 2**64 - 1
+    assert cfg.trajectory_indices == (2**53 + 1, 1000, 5)
+    assert parse_config(MINIMAL.replace("seed = 42", "seed = 9007199254740993")).seed == 2**53 + 1
+
+
+def test_seed_beyond_uint64_rejected_at_its_line():
+    text = MINIMAL.replace("seed = 42", "seed = 18446744073709551616")
+    assert errors_of(text) == [(14, "seed must be in [0, 2^64), got 18446744073709551616")]
+
+
+@pytest.mark.parametrize("value", ["2.5", "inf", "nan"])
+def test_non_integral_seed_rejected_at_its_line(value):
+    text = MINIMAL.replace("seed = 42", f"seed = {value}")
+    assert errors_of(text) == [(14, f"'seed': expected an integer: {value!r} is not an integer")]
+
+
+def test_repeated_trajectory_index_rejected():
+    text = MINIMAL.replace("seed = 42", "seed = 42\ntrajectory_indices = 0 3 0")
+    assert errors_of(text) == [(15, "trajectory index 0 is listed twice")]
+
+
 def test_fock_out_of_range():
     text = MINIMAL.replace("fock(0)", "fock(20)")
     assert any("fock(20)" in msg for _, msg in errors_of(text))

@@ -22,6 +22,7 @@ from qjump.oscillator import OscillatorParams, fock_state, oscillator_generator
 from qjump.trajectory import (
     JumpEvent,
     TrajectoryConfig,
+    run_trajectories,
     run_trajectory,
     trajectory_rng,
     write_event_log,
@@ -43,7 +44,7 @@ def policy_step(spec, psi, dt, u, step=0, first=0):
     """One step of the shared jump policy on a (d, M) block: (next block, largest probability, jumps)."""
     flow = compile_flow(spec)
     evaluation = rhs_block(flow, psi, want_rate=True)
-    psi_next, _, prob, jumps = jump_step(spec, flow, psi, evaluation, dt, u, step, first)
+    psi_next, _, prob, jumps = jump_step(spec, flow, psi, evaluation, dt, u, step, range(first, first + psi.shape[1]))
     return psi_next, prob, jumps
 
 
@@ -58,9 +59,9 @@ def forced_uniforms(monkeypatch, u1, u2):
 
     class Fixed:
         def random(self, shape):
-            return np.reshape([u1, u2], shape)
+            return np.broadcast_to([u1, u2], shape)
 
-    monkeypatch.setattr(trajectory, "trajectory_rng", lambda seed, index: Fixed())
+    monkeypatch.setattr(_batch, "trajectory_rng", lambda seed, index: Fixed())
 
 
 def test_config_validation():
@@ -300,6 +301,15 @@ def test_empty_channels_error_names_trajectory_and_time(monkeypatch):
     assert f"trajectory {traj} at t={(step + 1) * LOC_DT:.12g}:" in str(info.value)
 
 
+def test_block_error_names_the_index_of_its_column(monkeypatch):
+    # indices 0 and 2 do not jump within the window, so the first jump, and the error, is 5's
+    traj, step = first_jump()
+    monkeypatch.setattr(_batch, "jump_channels", lambda spec, psi: _batch.RateReport(total=1.0, channels=[]))
+    cfg = TrajectoryConfig(dt=LOC_DT, t_final=LOC_DT * LOC_STEPS, seed=LOC_SEED)
+    with pytest.raises(EmptyChannels, match=f"trajectory {traj} at t={(step + 1) * LOC_DT:.12g}:"):
+        run_trajectories(FLIP, E0_2, cfg, (0, 2, traj))
+
+
 def test_negative_rate_error_names_trajectory_and_time(monkeypatch):
     traj, step = first_jump()
     rate_after_jump(monkeypatch, -1.0)
@@ -357,6 +367,68 @@ def test_flip_jump_rate_is_constant():
     rates = [rate for _, _, rate, _ in batch.jump_log]
     assert len(rates) > 100
     assert np.max(np.abs(np.asarray(rates) - 1.0)) < 1e-9
+
+
+BLOCK_INDICES = (0, 2, 5)
+
+
+def block_config():
+    # from fock(4) the decay rate is 4.5, so each trajectory jumps about twice
+    observables = {"number": np.diag(np.arange(20.0)), "x": OSC.couplings[1]}
+    return TrajectoryConfig(dt=1e-3, t_final=0.4, seed=31, observables=observables)
+
+
+def jump_list(record):
+    return [(event.time, event.target_index) for event in record.jumps]
+
+
+def test_block_of_indices_matches_each_index_alone():
+    cfg = block_config()
+    psi0 = fock_state(20, 4)
+    records = run_trajectories(OSC, psi0, cfg, BLOCK_INDICES)
+    assert len(records) == len(BLOCK_INDICES)
+    assert any(record.jumps for record in records)
+    for index, record in zip(BLOCK_INDICES, records):
+        alone = run_trajectory(OSC, psi0, TrajectoryConfig(**{**vars(cfg), "trajectory_index": index}))
+        assert jump_list(record) == jump_list(alone)
+        np.testing.assert_array_equal(record.times, alone.times)
+        for name, series in alone.observables.items():
+            assert np.max(np.abs(record.observables[name] - series)) < 1e-8
+        assert np.max(np.abs(record.final_state - alone.final_state)) < 1e-8
+
+
+def test_block_jumps_do_not_depend_on_the_chunk(monkeypatch):
+    cfg = block_config()
+    psi0 = fock_state(20, 4)
+    whole = [jump_list(record) for record in run_trajectories(OSC, psi0, cfg, BLOCK_INDICES)]
+    monkeypatch.setattr(_batch, "CHUNK", 2)
+    assert [jump_list(record) for record in run_trajectories(OSC, psi0, cfg, BLOCK_INDICES)] == whole
+
+
+def test_block_rejects_a_repeated_index():
+    with pytest.raises(ValueError, match="repeat"):
+        run_trajectories(FLIP, E0_2, flip_config(), (3, 1, 3))
+
+
+def test_block_warns_once_naming_the_largest_probability(monkeypatch):
+    # only column 1 (index 4) is pushed above the warning threshold
+    real = _flow.rhs_block
+
+    def fake(flow, psi, want_rate=False):
+        rhs, rate = real(flow, psi, want_rate)
+        if want_rate and psi.shape[1] > 1:
+            rate = rate.copy()
+            rate[1] = 3.0
+        return rhs, rate
+
+    monkeypatch.setattr(_flow, "rhs_block", fake)
+    cfg = TrajectoryConfig(dt=0.1, t_final=0.5, seed=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_trajectories(OSC, fock_state(20, 0), cfg, (2, 4))
+    messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+    assert len(messages) == 1
+    assert messages[0].startswith("trajectory 4 at t=0.1: jump probability 0.300")
 
 
 def test_event_log_format(tmp_path):
