@@ -13,18 +13,23 @@ uniforms WINDOW steps at a time, so its memory does not grow with
 n_steps; Philox draws split at any row boundary equal one whole draw, so
 WINDOW is not part of the contract.
 
-Both engines step through one loop, integrate: run_batch's chunks and
-trajectory.run_trajectories' blocks of requested indices.  It draws each
-column's uniforms WINDOW steps at a time from that column's stream and
-takes every step through jump_step: Bernoulli jump with probability w dt
-decided by the first uniform, channel selection by cumulative scan with
-the second, jump replacing the whole step.  Each state's flow evaluation
-is computed once and carried into the next step, where it gives both w
-and the first Runge-Kutta stage.  Jumps are rare, so the channel
-eigenproblem is solved per jumping column only.  A column's jump
-decisions depend only on its stream and its own state, never on which
-other columns share its block; its last bits may, since BLAS sums a
-block of several columns in another order than a single one.
+Both engines share everything but their reductions: run_batch reduces
+its chunks to per-snapshot sums, trajectory.run_trajectories keeps every
+step of its blocks of requested indices.  prepare checks and prepares
+their inputs.  integrate is the one step loop: it builds the block from
+psi0, draws each column's uniforms WINDOW steps at a time from that
+column's stream and takes every step through jump_step: Bernoulli jump
+with probability w dt decided by the first uniform, channel selection by
+cumulative scan with the second, jump replacing the whole step.  Each
+state's flow evaluation is computed once and carried into the next step,
+where it gives both w and the first Runge-Kutta stage.  Jumps are rare,
+so the channel eigenproblem is solved per jumping column only.  A
+column's jump decisions depend only on its stream and its own state,
+never on which other columns share its block; its last bits may, since
+BLAS sums a block of several columns in another order than a single one.
+expectations gives both drivers' observable values, and warn_jump_prob
+gives their one warning when a step's jump probability passed
+JUMP_PROB_WARN.
 
 The worker threads are the engine's only parallelism.  For the duration
 of run_batch (and of ensemble.run_ensemble, which includes the oracle
@@ -38,14 +43,15 @@ is not an OpenBLAS this module can reach (MKL, Accelerate, no
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
+import sys
 import threading
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +68,9 @@ WINDOW = 64  # steps of uniforms a chunk holds at once: 1 MiB at CHUNK columns
 JUMP_PROB_WARN = 0.1
 JUMP_PROB_MAX = 0.5
 RATE_FLOOR_ABS = 1e-9
+
+# frames warn_jump_prob skips: this package's and single_blas_thread's contextlib wrapper
+_INSIDE = (os.path.dirname(__file__) + os.sep, contextlib.__file__)
 
 
 # (get, set) symbol names of the OpenBLAS thread count: the scipy-openblas
@@ -111,7 +120,7 @@ _pin_depth = 0
 _pin_saved = 1
 
 
-@contextmanager
+@contextlib.contextmanager
 def single_blas_thread():
     """Run the body with numpy's OpenBLAS at one thread; restore its count after.
 
@@ -166,8 +175,14 @@ def select_channel(report: RateReport, u2: float) -> int:
     return int(rates.size - 1)
 
 
-def _where(indices: Sequence[int], j: int, step: int, dt: float) -> str:
-    return f"trajectory {indices[j]} at t={(step + 1) * dt:.12g}"
+def _where(index: int, k: int, dt: float) -> str:
+    return f"trajectory {index} at t={k * dt:.12g}"
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Column of mask's first True, or None: one argmax, cheaper per step than flatnonzero or any."""
+    j = int(mask.argmax())
+    return j if mask[j] else None
 
 
 def jump_step(
@@ -192,33 +207,32 @@ def jump_step(
     Runge-Kutta step.
 
     Returns the next block, its evaluation, the largest jump probability
-    of this step (the callers warn on it) and the jumps as (column,
-    channel rate, channel index) in column order.
+    of this step and the jumps as (column, channel rate, channel index)
+    in column order.
     """
     k1, rate = evaluation
-    bad = np.flatnonzero(rate < -RATE_CLAMP)
-    if bad.size:
-        j = int(bad[0])
-        raise NegativeRate(f"{_where(indices, j, step, dt)}: total decay rate {rate[j]:.3e} is negative beyond roundoff")
+    j = _first(rate < -RATE_CLAMP)
+    if j is not None:
+        raise NegativeRate(f"{_where(indices[j], step + 1, dt)}: total decay rate {rate[j]:.3e} is negative beyond roundoff")
     rate = np.maximum(rate, 0.0)
     prob = rate * dt
     # a negated in-bounds test, so that a NaN or inf probability fails it too
-    bad = np.flatnonzero(~(prob <= JUMP_PROB_MAX))
-    if bad.size:
-        j = int(bad[0])
+    j = _first(~(prob <= JUMP_PROB_MAX))
+    if j is not None:
         raise StepTooLarge(
-            f"{_where(indices, j, step, dt)}: jump probability {prob[j]:.3f} per step exceeds {JUMP_PROB_MAX}; reduce dt",
+            f"{_where(indices[j], step + 1, dt)}: jump probability {prob[j]:.3f} per step exceeds {JUMP_PROB_MAX}; reduce dt",
             column=j,
         )
     jumps: list[tuple[int, float, int]] = []
     targets: dict[int, np.ndarray] = {}
-    for j in np.flatnonzero(u[0] < prob):
+    fires = u[0] < prob
+    for j in np.flatnonzero(fires) if _first(fires) is not None else ():
         j = int(j)
         report = jump_channels(spec, psi[:, j])
         if not report.channels:
             if rate[j] > RATE_FLOOR_ABS:
                 raise EmptyChannels(
-                    f"{_where(indices, j, step, dt)}: decay rate {rate[j]:.3e} but every channel was filtered out"
+                    f"{_where(indices[j], step + 1, dt)}: decay rate {rate[j]:.3e} but every channel was filtered out"
                 )
             continue
         chosen = select_channel(report, float(u[1, j]))
@@ -231,40 +245,89 @@ def jump_step(
         try:
             psi_next = _flow.rk4_step_block(flow, psi, dt, k1=k1)
         except StepTooLarge as exc:
-            raise StepTooLarge(f"{_where(indices, exc.column, step, dt)}: {exc}", column=exc.column) from exc
+            raise StepTooLarge(f"{_where(indices[exc.column], step + 1, dt)}: {exc}", column=exc.column) from exc
     for j, target in targets.items():
         psi_next[:, j] = target
     return psi_next, _flow.rhs_block(flow, psi_next, want_rate=True), float(prob.max()), jumps
 
 
+# (jump probability, trajectory index, k) of the first step to reach a run's largest probability
+Peak = tuple[float, int | None, int]
+
+
 def integrate(
     spec: GeneratorSpec,
     flow: _flow.CompiledFlow,
-    psi: np.ndarray,
+    psi0: np.ndarray,
     seed: int,
     indices: Sequence[int],
     dt: float,
     n_steps: int,
-) -> Iterator[tuple[int, np.ndarray, float, list[tuple[int, float, int]]]]:
-    """Take the (d, M) block psi through n_steps steps of jump_step.
+) -> Iterator[tuple[int, np.ndarray, list[tuple[int, float, int]], Peak]]:
+    """Take a (d, len(indices)) block of copies of psi0 through n_steps steps of jump_step.
 
-    Column j is trajectory indices[j] and draws two uniforms per step
-    from trajectory_rng(seed, indices[j]), WINDOW steps at a time.
-    Yields (step, block, largest jump probability, jumps) after every
-    step, block being the state at t = (step + 1) dt and jumps as
-    jump_step returns them.
+    Column j is trajectory indices[j] and draws two uniforms per step from
+    trajectory_rng(seed, indices[j]), WINDOW steps at a time.  Yields
+    (k, block, jumps, peak) for k = 0 ... n_steps: the state at t = k dt,
+    the jumps of the step that landed on it and the block's Peak so far,
+    whose index is looked up only above JUMP_PROB_WARN (None below).
     """
     streams = [trajectory_rng(seed, index) for index in indices]
     uniforms = np.empty((min(WINDOW, n_steps), 2, len(streams)), dtype=np.float64)
+    psi = np.repeat(psi0[:, None], len(streams), axis=1)
     evaluation = _flow.rhs_block(flow, psi, want_rate=True)
+    peak: Peak = (0.0, None, 0)
+    yield 0, psi, [], peak
     for i in range(n_steps):
         row = i % WINDOW
         if row == 0:
             rows = min(WINDOW, n_steps - i)
             for j, stream in enumerate(streams):
                 uniforms[:rows, :, j] = stream.random((rows, 2))
+        rate = evaluation[1]
         psi, evaluation, prob, jumps = jump_step(spec, flow, psi, evaluation, dt, uniforms[row], i, indices)
-        yield i, psi, prob, jumps
+        if prob > peak[0]:
+            peak = (prob, indices[int(rate.argmax())] if prob > JUMP_PROB_WARN else None, i + 1)
+        yield i + 1, psi, jumps, peak
+
+
+def warn_jump_prob(peaks: Iterable[Peak], dt: float) -> float:
+    """Reduce a run's block peaks in order, warn once above JUMP_PROB_WARN, return the largest probability.
+
+    The warning points at the first frame outside this package: the caller of the run.
+    """
+    prob, index, k = max(peaks, key=lambda peak: peak[0])
+    if prob > JUMP_PROB_WARN:
+        frame, level = sys._getframe(1), 2
+        while frame is not None and frame.f_code.co_filename.startswith(_INSIDE):
+            frame, level = frame.f_back, level + 1
+        warnings.warn(
+            f"{_where(index, k, dt)}: jump probability {prob:.3f} per step exceeds {JUMP_PROB_WARN}: discretization bias is first order in dt",
+            stacklevel=level,
+        )
+    return prob
+
+
+def prepare(
+    spec: GeneratorSpec, psi0: np.ndarray, observables: Sequence[np.ndarray]
+) -> tuple[_flow.CompiledFlow, np.ndarray, np.ndarray]:
+    """Check a run's inputs; return its compiled flow, normalized psi0 and (K d, d) observable stack."""
+    flow = _flow.compile_flow(spec)
+    psi0 = normalize(as_state(psi0))
+    d = spec.dim
+    if psi0.shape[0] != d:
+        raise DimensionMismatch(f"state dimension {psi0.shape[0]} does not match generator dimension {d}")
+    mats = [np.asarray(o, dtype=np.complex128) for o in observables]
+    for k, o in enumerate(mats):
+        if o.shape != (d, d):
+            raise DimensionMismatch(f"observable {k} has shape {o.shape}, expected {(d, d)}")
+    return flow, psi0, np.asarray(mats, dtype=np.complex128).reshape(-1, d)
+
+
+def expectations(obs_stack: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """(M, K) expectations of the K stacked observables in the M columns of states: one product, one vecdot."""
+    d, m = states.shape
+    return np.vecdot(states, (obs_stack @ states).reshape(-1, d, m), axis=-2).real.T
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -292,20 +355,8 @@ class BatchResult:
     block_counts: np.ndarray  # (n_blocks,) trajectories per jackknife block
     block_sums: np.ndarray  # (S, n_blocks, d, d) sums of projectors
     obs_sum: np.ndarray  # (S, K) sums of observable expectations
-    obs_sumsq: np.ndarray  # (S, K)
+    obs_sqdev: np.ndarray  # (S, K) sums of squared deviations of the expectations from their mean
     max_jump_prob: float
-    jump_log: list[tuple[int, float, float, int]] | None  # (trajectory, time, rate, channel)
-    final_states: np.ndarray | None  # (d, M)
-
-
-@dataclass
-class _ChunkPartial:
-    block_sums: np.ndarray
-    obs_sum: np.ndarray
-    obs_sumsq: np.ndarray
-    max_jump_prob: float
-    jump_log: list[tuple[int, float, float, int]] | None
-    final_states: np.ndarray | None
 
 
 @single_blas_thread()
@@ -320,24 +371,20 @@ def run_batch(
     observables: tuple[np.ndarray, ...] = (),
     n_blocks: int = 10,
     threads: int = 1,
-    record_jumps: bool = False,
-    keep_final: bool = False,
 ) -> BatchResult:
-    flow = _flow.compile_flow(spec)
-    psi0 = normalize(as_state(psi0))
+    """Run trajectories 0 ... n_trajectories - 1 from psi0 and reduce them at the snapshot steps.
+
+    Chunks sum squared deviations from their own mean and merge in chunk
+    order, so obs_sqdev keeps its digits when the spread is tiny next to the mean.
+    """
+    flow, psi0, obs_stack = prepare(spec, psi0, observables)
     d = spec.dim
-    if psi0.shape[0] != d:
-        raise DimensionMismatch(f"state dimension {psi0.shape[0]} does not match generator dimension {d}")
-    obs_mats = tuple(np.asarray(o, dtype=np.complex128) for o in observables)
-    for o in obs_mats:
-        if o.shape != (d, d):
-            raise DimensionMismatch(f"observable has shape {o.shape}, expected {(d, d)}")
     snaps = tuple(int(s) for s in snapshot_steps)
     if any(not 0 <= s <= n_steps for s in snaps) or len(set(snaps)) != len(snaps):
         raise ValueError(f"snapshot steps {snaps} must be unique integers in [0, {n_steps}]")
     slot_of = {step: slot for slot, step in enumerate(snaps)}
     n_snap = len(snaps)
-    n_obs = len(obs_mats)
+    n_obs = len(observables)
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
     if n_blocks < 1:
@@ -346,52 +393,30 @@ def run_batch(
     def block_of(index: np.ndarray) -> np.ndarray:
         return (index * n_blocks) // n_trajectories
 
-    def run_chunk(lo: int, hi: int) -> _ChunkPartial:
+    def run_chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Peak]:
         m = hi - lo
-        psi = np.repeat(psi0[:, None], m, axis=1)
         ids = block_of(np.arange(lo, hi, dtype=np.int64))
         # chunk columns are consecutive trajectory indices, so each block
         # occupies one contiguous column range
-        splits = np.flatnonzero(np.diff(ids)) + 1
-        ranges = []
-        start = 0
-        for stop in list(splits) + [m]:
-            ranges.append((int(ids[start]), start, stop))
-            start = stop
+        edges = [0, *(np.flatnonzero(np.diff(ids)) + 1).tolist(), m]
+        ranges = [(int(ids[c0]), c0, c1) for c0, c1 in zip(edges, edges[1:])]
         sums = np.zeros((n_snap, n_blocks, d, d), dtype=np.complex128)
         osum = np.zeros((n_snap, n_obs), dtype=np.float64)
-        osq = np.zeros((n_snap, n_obs), dtype=np.float64)
-        log: list[tuple[int, float, float, int]] | None = [] if record_jumps else None
-        pmax = 0.0
+        osqdev = np.zeros((n_snap, n_obs), dtype=np.float64)
 
         def accumulate(slot: int, states: np.ndarray) -> None:
             for block, c0, c1 in ranges:
                 cols = states[:, c0:c1]
                 sums[slot, block] += cols @ cols.conj().T
-            for k in range(n_obs):
-                ov = obs_mats[k] @ states
-                vals = np.einsum("dm,dm->m", states.conj(), ov).real
-                osum[slot, k] += vals.sum()
-                osq[slot, k] += (vals * vals).sum()
+            vals = expectations(obs_stack, states)
+            osum[slot] = vals.sum(axis=0)
+            osqdev[slot] = ((vals - osum[slot] / m) ** 2).sum(axis=0)
 
-        slot = slot_of.get(0)
-        if slot is not None:
-            accumulate(slot, psi)
-        for i, psi, prob, jumps in integrate(spec, flow, psi, seed, range(lo, hi), dt, n_steps):
-            pmax = max(pmax, prob)
-            if log is not None:
-                log.extend((lo + j, (i + 1) * dt, rate, chosen) for j, rate, chosen in jumps)
-            slot = slot_of.get(i + 1)
+        for k, psi, _, peak in integrate(spec, flow, psi0, seed, range(lo, hi), dt, n_steps):
+            slot = slot_of.get(k)
             if slot is not None:
                 accumulate(slot, psi)
-        return _ChunkPartial(
-            block_sums=sums,
-            obs_sum=osum,
-            obs_sumsq=osq,
-            max_jump_prob=pmax,
-            jump_log=log,
-            final_states=psi if keep_final else None,
-        )
+        return sums, osum, osqdev, peak
 
     bounds = [(lo, min(lo + CHUNK, n_trajectories)) for lo in range(0, n_trajectories, CHUNK)]
     workers = resolve_threads(threads)
@@ -403,32 +428,22 @@ def run_batch(
 
     block_sums = np.zeros((n_snap, n_blocks, d, d), dtype=np.complex128)
     obs_sum = np.zeros((n_snap, n_obs), dtype=np.float64)
-    obs_sumsq = np.zeros((n_snap, n_obs), dtype=np.float64)
-    jump_log: list[tuple[int, float, float, int]] | None = [] if record_jumps else None
-    finals = [] if keep_final else None
-    max_prob = 0.0
-    for part in partials:
-        block_sums += part.block_sums
-        obs_sum += part.obs_sum
-        obs_sumsq += part.obs_sumsq
-        max_prob = max(max_prob, part.max_jump_prob)
-        if jump_log is not None and part.jump_log is not None:
-            jump_log.extend(part.jump_log)
-        if finals is not None and part.final_states is not None:
-            finals.append(part.final_states)
-    if max_prob > JUMP_PROB_WARN:
-        warnings.warn(
-            f"jump probability reached {max_prob:.3f} per step (above {JUMP_PROB_WARN}): discretization bias is first order in dt",
-            stacklevel=2,
-        )
+    obs_sqdev = np.zeros((n_snap, n_obs), dtype=np.float64)
+    for (lo, hi), (sums, osum, osqdev, _) in zip(bounds, partials):
+        block_sums += sums
+        if lo:
+            # merge the chunk's centred sums into the first lo trajectories'
+            # by the pairwise update of Chan, Golub & LeVeque
+            delta = osum / (hi - lo) - obs_sum / lo
+            osqdev = osqdev + delta**2 * (lo * (hi - lo) / hi)
+        obs_sum += osum
+        obs_sqdev += osqdev
     return BatchResult(
         n_trajectories=n_trajectories,
         snapshot_steps=snaps,
         block_counts=np.bincount(block_of(np.arange(n_trajectories, dtype=np.int64)), minlength=n_blocks),
         block_sums=block_sums,
         obs_sum=obs_sum,
-        obs_sumsq=obs_sumsq,
-        max_jump_prob=max_prob,
-        jump_log=jump_log,
-        final_states=np.concatenate(finals, axis=1) if finals else None,
+        obs_sqdev=obs_sqdev,
+        max_jump_prob=warn_jump_prob([part[3] for part in partials], dt),
     )

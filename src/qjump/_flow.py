@@ -132,10 +132,10 @@ def rk4_step_block(
     out = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     norms = np.sqrt(np.vecdot(out, out, axis=0).real)
     drift = np.abs(norms - 1.0)
-    # written so that NaN and inf fail the guard as well
-    bad = np.flatnonzero(~(drift <= NORM_DRIFT_MAX))
-    if bad.size:
-        j = int(bad[0])
+    # NaN and inf fail the guard too; argmax finds the first bad column
+    bad = ~(drift <= NORM_DRIFT_MAX)
+    j = int(bad.argmax())
+    if bad[j]:
         raise StepTooLarge(
             f"pre-renormalization norm of column {j} drifted by {drift[j]:.3e} > {NORM_DRIFT_MAX:.1e}; reduce dt",
             column=j,

@@ -253,7 +253,10 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(_int(token) for token in text.split())
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("empty value")
+    return tuple(_int(token) for token in tokens)
 
 
 def _matrix(v: _Validator, section: str, key: str, dim: int, required: bool = False) -> np.ndarray | None:

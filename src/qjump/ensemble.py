@@ -206,8 +206,7 @@ def run_ensemble(
     stat_errors = _jackknife_errors(batch.block_sums, batch.block_counts, rho_oracle)
     means = batch.obs_sum / m
     if m > 1:
-        variance = np.maximum(batch.obs_sumsq / m - means**2, 0.0)
-        stderrs = np.sqrt(variance / (m - 1))
+        stderrs = np.sqrt(batch.obs_sqdev / m / (m - 1))
     else:
         stderrs = np.zeros_like(means)
     times = np.array([s * base.dt for s in cfg.snapshot_steps], dtype=np.float64)

@@ -11,27 +11,27 @@ coordination between trajectories.
 
 run_trajectories steps its trajectory indices as the columns of one
 block, up to _batch.CHUNK at a time, through _batch.integrate, the step
-loop the ensemble engine uses; it adds only the per-step observable
-series and the jump events.  Trajectory j therefore makes the same jump
-decisions whether it runs alone, next to other indices or inside an
-ensemble.  run_trajectory is the one-index case.
+loop the ensemble engine uses, after the same input checks
+(_batch.prepare); it keeps every step's observables (_batch.expectations)
+and the jump events, and warns as the ensemble engine does.  Trajectory
+j therefore makes the same jump decisions whether it runs alone, next to
+other indices or inside an ensemble.  run_trajectory is the one-index
+case.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _batch, _flow
-from ._batch import JUMP_PROB_WARN, trajectory_rng  # noqa: F401  re-exported: the streams this module documents
+from . import _batch
+from ._batch import trajectory_rng  # noqa: F401  re-exported: the streams this module documents
 from ._io import fmt, write_lines
-from .errors import DimensionMismatch
 from .generator import GeneratorSpec
-from .linalg import as_state, normalize, require_hermitian
+from .linalg import require_hermitian
 
 GRID_TOL = 1e-9
 
@@ -116,55 +116,35 @@ def run_trajectories(
     or not a jump fires.
     """
     indices = tuple(int(index) for index in indices)
+    if not indices:
+        raise ValueError("need at least one trajectory index")
     for index in indices:
         if not 0 <= index < 2**64:
             raise ValueError(f"trajectory index must be an integer in [0, 2^64), got {index}")
     if len(set(indices)) != len(indices):
         raise ValueError(f"trajectory indices {indices} repeat an index")
-    psi = normalize(as_state(psi0))
-    d = spec.dim
-    if psi.shape[0] != d:
-        raise DimensionMismatch(f"state dimension {psi.shape[0]} does not match generator dimension {d}")
-    for name, mat in cfg.observables.items():
-        if mat.shape[0] != d:
-            raise DimensionMismatch(f"observable {name!r} has dimension {mat.shape[0]}, expected {d}")
-    flow = _flow.compile_flow(spec)
-    n = cfg.n_steps
     names = list(cfg.observables)
-    obs_stack = np.reshape([cfg.observables[name] for name in names], (-1, d))
-
-    def observe(states: np.ndarray) -> np.ndarray:
-        """(M, K) expectations: one stacked product, one vecdot."""
-        return np.vecdot(states, (obs_stack @ states).reshape(-1, d, states.shape[1]), axis=-2).real.T
-
+    flow, psi0, obs_stack = _batch.prepare(spec, psi0, [cfg.observables[name] for name in names])
+    n = cfg.n_steps
     times = cfg.times
     records: list[TrajectoryRecord] = []
-    warned = False
+    peaks = []
     for lo in range(0, len(indices), _batch.CHUNK):
         chunk = indices[lo : lo + _batch.CHUNK]
-        m = len(chunk)
-        values = np.empty((m, len(names), n + 1), dtype=np.float64)
+        values = np.empty((len(chunk), len(names), n + 1), dtype=np.float64)
         events: list[list[JumpEvent]] = [[] for _ in chunk]
-        block = np.repeat(psi[:, None], m, axis=1)
-        values[:, :, 0] = observe(block)
-        for i, nxt, prob, fired in _batch.integrate(spec, flow, block, cfg.seed, chunk, cfg.dt, n):
-            if prob > JUMP_PROB_WARN and not warned:
-                # the column of the largest probability, from the rates of the state it stepped from
-                j = int(np.argmax(_flow.rhs_block(flow, block, want_rate=True)[1]))
-                warnings.warn(
-                    f"trajectory {chunk[j]} at t={(i + 1) * cfg.dt:.12g}: jump probability {prob:.3f} per step exceeds {JUMP_PROB_WARN}: discretization bias is first order in dt",
-                    stacklevel=2,
-                )
-                warned = True
+        for k, nxt, fired, peak in _batch.integrate(spec, flow, psi0, cfg.seed, chunk, cfg.dt, n):
             for j, rate, chosen in fired:
                 pre_norm = float(np.linalg.norm(block[:, j]))
-                events[j].append(JumpEvent(time=(i + 1) * cfg.dt, channel_rate=rate, pre_state_norm_check=pre_norm, target_index=chosen))
+                events[j].append(JumpEvent(time=k * cfg.dt, channel_rate=rate, pre_state_norm_check=pre_norm, target_index=chosen))
             block = nxt
-            values[:, :, i + 1] = observe(block)
+            values[:, :, k] = _batch.expectations(obs_stack, block)
+        peaks.append(peak)
         records += [
             TrajectoryRecord(times=times, observables=dict(zip(names, values[j])), jumps=events[j], final_state=block[:, j])
-            for j in range(m)
+            for j in range(len(chunk))
         ]
+    _batch.warn_jump_prob(peaks, cfg.dt)
     return records
 
 

@@ -354,6 +354,15 @@ def test_trajectory_repeated_index_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_trajectory_empty_index_list_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "index.cfg"
+    text = SMALL.replace("seed = 3", "seed = 3\ntrajectory_indices =")
+    path.write_text(text.format(out=tmp_path / "out", dump="false"))
+    assert main(["trajectory", "--config", str(path)]) == 2
+    assert "line 16: 'trajectory_indices': expected a list of integers: empty value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_ensemble_outputs_and_thread_independence(tmp_path):
     cfg = write_config(tmp_path, dump="true")
     assert main(["ensemble", "--config", cfg, "--threads", "1"]) == 0

@@ -217,6 +217,11 @@ def test_repeated_trajectory_index_rejected():
     assert errors_of(text) == [(15, "trajectory index 0 is listed twice")]
 
 
+def test_empty_trajectory_indices_rejected():
+    text = MINIMAL.replace("seed = 42", "seed = 42\ntrajectory_indices =")
+    assert errors_of(text) == [(15, "'trajectory_indices': expected a list of integers: empty value")]
+
+
 def test_fock_out_of_range():
     text = MINIMAL.replace("fock(0)", "fock(20)")
     assert any("fock(20)" in msg for _, msg in errors_of(text))

@@ -190,12 +190,10 @@ def test_blas_pin_count_survives_contention(blas):
 
 
 def test_run_batch_without_a_reachable_openblas(monkeypatch):
-    pinned = flip_batch(record_jumps=True, keep_final=True)
+    pinned = flip_batch()
     monkeypatch.setattr(_batch, "_numpy_openblas", lambda: None)
-    unpinned = flip_batch(record_jumps=True, keep_final=True)
+    unpinned = flip_batch()
     assert np.array_equal(pinned.block_sums, unpinned.block_sums)
-    assert np.array_equal(pinned.final_states, unpinned.final_states)
-    assert pinned.jump_log == unpinned.jump_log
 
 
 def test_auto_thread_count_follows_cpu_affinity(monkeypatch):

@@ -16,6 +16,7 @@ from scipy import stats
 from qjump import _batch, _flow, trajectory
 from qjump._batch import jump_step, run_batch, select_channel
 from qjump._flow import compile_flow, rhs_block, rk4_step, rk4_step_block
+from qjump.ensemble import EnsembleConfig, run_ensemble
 from qjump.errors import DimensionMismatch, EmptyChannels, NegativeRate, StepTooLarge
 from qjump.generator import GeneratorSpec
 from qjump.oscillator import OscillatorParams, fock_state, oscillator_generator
@@ -198,6 +199,47 @@ def test_batch_warns_once_per_run(monkeypatch, threads):
     assert n_warnings == 1
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batch_warning_names_the_trajectory_and_time(monkeypatch, threads):
+    # chunks of 4 over 7 trajectories; column 1 of each chunk is pushed
+    # above the threshold, column 1 of the 3-column chunk (index 5) highest
+    monkeypatch.setattr(_batch, "CHUNK", 4)
+    real = _flow.rhs_block
+
+    def fake(flow, psi, want_rate=False):
+        rhs, rate = real(flow, psi, want_rate)
+        if want_rate:
+            rate = rate.copy()
+            rate[1] = 3.0 if psi.shape[1] == 3 else 2.5
+        return rhs, rate
+
+    monkeypatch.setattr(_flow, "rhs_block", fake)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_batch(FLIP, E0_2, 0.05, 5, 7, 3, snapshot_steps=(5,), threads=threads)
+    messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+    assert len(messages) == 1
+    assert messages[0].startswith("trajectory 5 at t=0.05: jump probability 0.150 per step exceeds 0.1")
+    assert result.max_jump_prob == pytest.approx(0.15)
+
+
+@pytest.mark.parametrize("entry", ["run_batch", "run_ensemble", "run_trajectories", "run_trajectory"])
+def test_jump_probability_warning_points_at_the_caller(entry):
+    # the flip model's rate is 1 everywhere, so every step of 0.2 is above the threshold
+    cfg = flip_config(dt=0.2, t_final=1.0)
+    calls = {
+        "run_batch": lambda: run_batch(FLIP, E0_2, 0.2, 5, 8, 3, snapshot_steps=(5,)),
+        "run_ensemble": lambda: run_ensemble(FLIP, E0_2, EnsembleConfig(n_trajectories=8, base=cfg, snapshot_times=(1.0,))),
+        "run_trajectories": lambda: run_trajectories(FLIP, E0_2, cfg, (0, 1)),
+        "run_trajectory": lambda: run_trajectory(FLIP, E0_2, cfg),
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        calls[entry]()
+    (warning,) = [w for w in caught if issubclass(w.category, UserWarning)]
+    assert warning.filename == __file__
+
+
 def test_select_channel_cumulative_scan():
     report = RateReport(
         total=0.5,
@@ -334,21 +376,8 @@ def first_waits(dt, t_final, n_traj, seed):
     is long enough that the missing-first-jump probability e^{-t_final}
     is far below the resolution of the test.
     """
-    batch = run_batch(
-        FLIP,
-        E0_2,
-        dt,
-        round(t_final / dt),
-        n_traj,
-        seed,
-        snapshot_steps=(round(t_final / dt),),
-        record_jumps=True,
-    )
-    first = {}
-    for traj, time, _, _ in batch.jump_log:
-        if traj not in first:
-            first[traj] = time  # log is time-ordered within a trajectory
-    return np.asarray(sorted(first.values()))
+    records = run_trajectories(FLIP, E0_2, TrajectoryConfig(dt=dt, t_final=t_final, seed=seed), range(n_traj))
+    return np.asarray(sorted(record.jumps[0].time for record in records if record.jumps))
 
 
 def test_flip_waiting_times_are_exponential():
@@ -363,8 +392,8 @@ def test_flip_waiting_times_are_exponential():
 
 
 def test_flip_jump_rate_is_constant():
-    batch = run_batch(FLIP, E0_2, 1e-3, 2000, 100, 9, snapshot_steps=(2000,), record_jumps=True)
-    rates = [rate for _, _, rate, _ in batch.jump_log]
+    records = run_trajectories(FLIP, E0_2, TrajectoryConfig(dt=1e-3, t_final=2.0, seed=9), range(100))
+    rates = [event.channel_rate for record in records for event in record.jumps]
     assert len(rates) > 100
     assert np.max(np.abs(np.asarray(rates) - 1.0)) < 1e-9
 
@@ -408,6 +437,11 @@ def test_block_jumps_do_not_depend_on_the_chunk(monkeypatch):
 def test_block_rejects_a_repeated_index():
     with pytest.raises(ValueError, match="repeat"):
         run_trajectories(FLIP, E0_2, flip_config(), (3, 1, 3))
+
+
+def test_block_rejects_an_empty_index_list():
+    with pytest.raises(ValueError, match="at least one trajectory index"):
+        run_trajectories(FLIP, E0_2, flip_config(), ())
 
 
 def test_block_warns_once_naming_the_largest_probability(monkeypatch):
