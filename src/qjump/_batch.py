@@ -23,10 +23,12 @@ with probability w dt decided by the first uniform, channel selection by
 cumulative scan with the second, jump replacing the whole step.  Each
 state's flow evaluation is computed once and carried into the next step,
 where it gives both w and the first Runge-Kutta stage.  Jumps are rare,
-so the channel eigenproblem is solved per jumping column only.  A
-column's jump decisions depend only on its stream and its own state,
-never on which other columns share its block; its last bits may, since
-BLAS sums a block of several columns in another order than a single one.
+so the channel eigenproblem is solved per jumping column only.
+jump_step is also the one judge of a step, and it judges only the steps
+a column keeps.  A column's jump decisions, and whether its step is
+accepted, depend only on its stream and its own state, never on which
+other columns share its block; its last bits may, since BLAS sums a
+block of several columns in another order than a single one.
 expectations gives both drivers' observable values, and warn_jump_prob
 gives their one warning when a step's jump probability passed
 JUMP_PROB_WARN.
@@ -67,6 +69,7 @@ CHUNK = 1024
 WINDOW = 64  # steps of uniforms a chunk holds at once: 1 MiB at CHUNK columns
 JUMP_PROB_WARN = 0.1
 JUMP_PROB_MAX = 0.5
+NORM_DRIFT_MAX = 1e-3
 RATE_FLOOR_ABS = 1e-9
 
 # frames warn_jump_prob skips: this package's and single_blas_thread's contextlib wrapper
@@ -194,7 +197,7 @@ def jump_step(
     u: np.ndarray,
     step: int,
     indices: Sequence[int],
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], float, list[tuple[int, float, int]]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[float, int], list[tuple[int, float, int]]]:
     """One step of the jump policy for every column of the (d, M) block psi.
 
     evaluation is _flow.rhs_block(flow, psi, want_rate=True): the flow rhs
@@ -204,11 +207,12 @@ def jump_step(
     this step and the step lands on t = (step + 1) dt; errors name both.
     A column jumps when u[0, j] < w dt; the jump replaces the whole step
     with the channel that u[1, j] selects.  Every other column takes the
-    Runge-Kutta step.
+    Runge-Kutta step, and only those steps are held to NORM_DRIFT_MAX.
 
-    Returns the next block, its evaluation, the largest jump probability
-    of this step and the jumps as (column, channel rate, channel index)
-    in column order.
+    Returns the next block, its evaluation, the step's largest jump
+    probability with the trajectory index of the first column to reach
+    it, and the jumps as (column, channel rate, channel index) in column
+    order.
     """
     k1, rate = evaluation
     j = _first(rate < -RATE_CLAMP)
@@ -220,8 +224,7 @@ def jump_step(
     j = _first(~(prob <= JUMP_PROB_MAX))
     if j is not None:
         raise StepTooLarge(
-            f"{_where(indices[j], step + 1, dt)}: jump probability {prob[j]:.3f} per step exceeds {JUMP_PROB_MAX}; reduce dt",
-            column=j,
+            f"{_where(indices[j], step + 1, dt)}: jump probability {prob[j]:.3f} per step exceeds {JUMP_PROB_MAX}; reduce dt"
         )
     jumps: list[tuple[int, float, int]] = []
     targets: dict[int, np.ndarray] = {}
@@ -239,20 +242,22 @@ def jump_step(
         channel = report.channels[chosen]
         jumps.append((j, channel.rate, chosen))
         targets[j] = channel.target
-    if len(targets) == psi.shape[1]:
-        psi_next = np.empty_like(psi)
-    else:
-        try:
-            psi_next = _flow.rk4_step_block(flow, psi, dt, k1=k1)
-        except StepTooLarge as exc:
-            raise StepTooLarge(f"{_where(indices[exc.column], step + 1, dt)}: {exc}", column=exc.column) from exc
+    psi_next, drift = _flow.rk4_step_block(flow, psi, dt, k1=k1)
     for j, target in targets.items():
         psi_next[:, j] = target
-    return psi_next, _flow.rhs_block(flow, psi_next, want_rate=True), float(prob.max()), jumps
+        drift[j] = 0.0
+    # negated as above, so that a non-finite column fails too
+    j = _first(~(drift <= NORM_DRIFT_MAX))
+    if j is not None:
+        raise StepTooLarge(
+            f"{_where(indices[j], step + 1, dt)}: pre-renormalization norm drifted by {drift[j]:.3e} > {NORM_DRIFT_MAX:.1e}; reduce dt"
+        )
+    j = int(prob.argmax())
+    return psi_next, _flow.rhs_block(flow, psi_next, want_rate=True), (float(prob[j]), indices[j]), jumps
 
 
 # (jump probability, trajectory index, k) of the first step to reach a run's largest probability
-Peak = tuple[float, int | None, int]
+Peak = tuple[float, int, int]
 
 
 def integrate(
@@ -269,14 +274,13 @@ def integrate(
     Column j is trajectory indices[j] and draws two uniforms per step from
     trajectory_rng(seed, indices[j]), WINDOW steps at a time.  Yields
     (k, block, jumps, peak) for k = 0 ... n_steps: the state at t = k dt,
-    the jumps of the step that landed on it and the block's Peak so far,
-    whose index is looked up only above JUMP_PROB_WARN (None below).
+    the jumps of the step that landed on it and the block's Peak so far.
     """
     streams = [trajectory_rng(seed, index) for index in indices]
     uniforms = np.empty((min(WINDOW, n_steps), 2, len(streams)), dtype=np.float64)
     psi = np.repeat(psi0[:, None], len(streams), axis=1)
     evaluation = _flow.rhs_block(flow, psi, want_rate=True)
-    peak: Peak = (0.0, None, 0)
+    peak: Peak = (0.0, indices[0], 0)
     yield 0, psi, [], peak
     for i in range(n_steps):
         row = i % WINDOW
@@ -284,10 +288,9 @@ def integrate(
             rows = min(WINDOW, n_steps - i)
             for j, stream in enumerate(streams):
                 uniforms[:rows, :, j] = stream.random((rows, 2))
-        rate = evaluation[1]
-        psi, evaluation, prob, jumps = jump_step(spec, flow, psi, evaluation, dt, uniforms[row], i, indices)
+        psi, evaluation, (prob, index), jumps = jump_step(spec, flow, psi, evaluation, dt, uniforms[row], i, indices)
         if prob > peak[0]:
-            peak = (prob, indices[int(rate.argmax())] if prob > JUMP_PROB_WARN else None, i + 1)
+            peak = (prob, index, i + 1)
         yield i + 1, psi, jumps, peak
 
 

@@ -478,8 +478,8 @@ def parse_config(text: str) -> RunConfig:
     indices = v.typed("run", "trajectory_indices", _ints, "a list of integers", default=(0,))
 
     n_steps = None
-    if dt is not None and not dt > 0.0:
-        v.error(v.get("run", "dt").line, f"dt must be positive, got {dt}")
+    if dt is not None and not 0.0 < dt < np.inf:
+        v.error(v.get("run", "dt").line, f"dt must be positive and finite, got {dt}")
         dt = None
     if dt is not None and t_final is not None:
         steps = grid_step(t_final, dt)

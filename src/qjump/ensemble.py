@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._batch import run_batch, single_blas_thread
-from ._flow import compile_flow, rk4_step
+from ._flow import compile_flow, rk4_step_block
 from ._io import fmt, write_lines
 from .errors import PositivityLost
 from .generator import GeneratorSpec, apply_generator
@@ -38,7 +38,8 @@ class EnsembleConfig:
     snapshot_times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if int(self.n_trajectories) != self.n_trajectories or self.n_trajectories < 1:
+        # the range first, so that inf and nan fail it before int() could overflow
+        if not (1 <= self.n_trajectories < np.inf and self.n_trajectories == self.n_trajectories // 1):
             raise ValueError(f"n_trajectories must be a positive integer, got {self.n_trajectories!r}")
         self.n_trajectories = int(self.n_trajectories)
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
@@ -135,7 +136,7 @@ def single_step_equivalence_test(spec: GeneratorSpec, psi: np.ndarray, eps: floa
     proj = outer(psi)
     rho_a = proj + eps * apply_generator(spec, proj)
     report = jump_channels(spec, psi)
-    evolved = rk4_step(compile_flow(spec), psi, eps)
+    evolved = rk4_step_block(compile_flow(spec), psi[:, None], eps)[0][:, 0]
     rho_b = (1.0 - eps * report.total) * outer(evolved)
     for channel in report.channels:
         rho_b += (eps * channel.rate) * outer(channel.target)
@@ -176,10 +177,9 @@ def run_ensemble(
     """Monte Carlo ensemble versus master-equation oracle on one grid.
 
     Trajectory indices run from 0 to n_trajectories - 1 under the
-    configured seed (the base trajectory_index is ignored here).  The
-    result is deterministic for fixed (spec, psi0, cfg) regardless of
-    the thread count.  Like run_batch, the whole call, oracle and
-    jackknife included, runs with numpy's OpenBLAS at one thread.
+    configured seed.  The result is deterministic for fixed (spec, psi0,
+    cfg) regardless of the thread count.  Like run_batch, the whole call,
+    oracle and jackknife included, runs with numpy's OpenBLAS at one thread.
     """
     psi0 = normalize(as_state(psi0))
     base = cfg.base

@@ -27,15 +27,9 @@ class EmptyChannels(QJumpError):
 
 class StepTooLarge(QJumpError):
     """A step is too large: its jump probability exceeds the ceiling, or the
-    deterministic step drifted too far from unit norm before renormalization.
-
-    column is the offending column of a state block when the step was taken
-    on a block, else None.
+    Runge-Kutta step a trajectory keeps drifted too far from unit norm before
+    renormalization.  The message names the trajectory and the time.
     """
-
-    def __init__(self, message: str, column: int | None = None):
-        super().__init__(message)
-        self.column = column
 
 
 class PositivityLost(QJumpError):

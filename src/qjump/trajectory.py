@@ -49,26 +49,24 @@ def grid_step(t: float, dt: float) -> int | None:
 
 @dataclass
 class TrajectoryConfig:
-    """Grid, RNG key and observables for one trajectory."""
+    """Grid, RNG seed and observables shared by the trajectories of a run."""
 
     dt: float
     t_final: float
     seed: int
-    trajectory_index: int = 0
     observables: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if self.t_final < self.dt:
             raise ValueError(f"t_final {self.t_final!r} must be at least dt {self.dt!r}")
         if grid_step(self.t_final, self.dt) is None:
             raise ValueError(f"t_final {self.t_final!r} is not an integer multiple of dt {self.dt!r}")
-        for name, bound in (("seed", self.seed), ("trajectory_index", self.trajectory_index)):
-            if int(bound) != bound or not 0 <= bound < 2**64:
-                raise ValueError(f"{name} must be an integer in [0, 2^64), got {bound!r}")
+        # the range first, so that inf and nan fail it before int() could overflow
+        if not (0 <= self.seed < 2**64 and self.seed == self.seed // 1):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         self.seed = int(self.seed)
-        self.trajectory_index = int(self.trajectory_index)
         self.observables = {
             name: require_hermitian(mat, name=f"observable {name!r}")
             for name, mat in self.observables.items()
@@ -108,19 +106,20 @@ def run_trajectories(
 ) -> list[TrajectoryRecord]:
     """Evolve the trajectories indices on the configured grid, one record per index.
 
-    cfg.trajectory_index is not used: the indices name the streams.  The
-    indices are integrated as the columns of blocks of up to
+    The indices are integrated as the columns of blocks of up to
     _batch.CHUNK, so an error in any column stops the whole run.
     Identical inputs give bitwise-identical records: each stream is fixed
     by (seed, index) with exactly two uniforms consumed per step whether
     or not a jump fires.
     """
-    indices = tuple(int(index) for index in indices)
+    indices = tuple(indices)
     if not indices:
         raise ValueError("need at least one trajectory index")
     for index in indices:
-        if not 0 <= index < 2**64:
+        # the range first, so that inf and nan fail it before int() could overflow
+        if not (0 <= index < 2**64 and index == index // 1):
             raise ValueError(f"trajectory index must be an integer in [0, 2^64), got {index}")
+    indices = tuple(int(index) for index in indices)
     if len(set(indices)) != len(indices):
         raise ValueError(f"trajectory indices {indices} repeat an index")
     names = list(cfg.observables)
@@ -148,9 +147,9 @@ def run_trajectories(
     return records
 
 
-def run_trajectory(spec: GeneratorSpec, psi0: np.ndarray, cfg: TrajectoryConfig) -> TrajectoryRecord:
-    """Evolve trajectory cfg.trajectory_index on the configured grid."""
-    return run_trajectories(spec, psi0, cfg, (cfg.trajectory_index,))[0]
+def run_trajectory(spec: GeneratorSpec, psi0: np.ndarray, cfg: TrajectoryConfig, index: int = 0) -> TrajectoryRecord:
+    """Evolve trajectory index on the configured grid."""
+    return run_trajectories(spec, psi0, cfg, (index,))[0]
 
 
 def write_event_log(record: TrajectoryRecord, path: str) -> None:

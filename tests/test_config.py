@@ -312,6 +312,12 @@ def test_nan_observable_rejected():
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_dt_rejected_on_its_line(value):
+    text = MINIMAL.replace("dt = 1e-3", f"dt = {value}")
+    assert errors_of(text) == [(11, f"dt must be positive and finite, got {value}")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_t_final_rejected(value):
     text = MINIMAL.replace("t_final = 1.0", f"t_final = {value}")
     assert errors_of(text) == [(12, f"t_final {value} is not a positive integer multiple of dt 0.001")]

@@ -197,6 +197,9 @@ def test_ensemble_config_validation():
     base = TrajectoryConfig(dt=0.1, t_final=1.0, seed=0)
     with pytest.raises(ValueError):
         EnsembleConfig(n_trajectories=0, base=base, snapshot_times=(1.0,))
+    for count in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^n_trajectories must be a positive integer, got"):
+            EnsembleConfig(n_trajectories=count, base=base, snapshot_times=(1.0,))
     with pytest.raises(ValueError):
         EnsembleConfig(n_trajectories=10, base=base, snapshot_times=(0.55,))
     with pytest.raises(ValueError):

@@ -15,7 +15,8 @@ from scipy import stats
 
 from qjump import _batch, _flow, trajectory
 from qjump._batch import jump_step, run_batch, select_channel
-from qjump._flow import compile_flow, rhs_block, rk4_step, rk4_step_block
+from qjump._flow import compile_flow, rhs_block
+from qjump.cli import main
 from qjump.ensemble import EnsembleConfig, run_ensemble
 from qjump.errors import DimensionMismatch, EmptyChannels, NegativeRate, StepTooLarge
 from qjump.generator import GeneratorSpec
@@ -28,7 +29,7 @@ from qjump.trajectory import (
     trajectory_rng,
     write_event_log,
 )
-from qjump.unraveling import JumpChannel, RateReport
+from qjump.unraveling import JumpChannel, RateReport, jump_channels
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 FLIP = GeneratorSpec(hamiltonian=np.zeros((2, 2)), couplings=(SX,), coeff=[[0.5]])
@@ -37,15 +38,15 @@ OSC = oscillator_generator(OscillatorParams(levels=20, d22=0.5))
 E0_2 = np.array([1.0, 0.0], dtype=np.complex128)
 
 
-def flip_config(dt=1e-3, t_final=1.0, seed=42, index=0):
-    return TrajectoryConfig(dt=dt, t_final=t_final, seed=seed, trajectory_index=index)
+def flip_config(dt=1e-3, t_final=1.0, seed=42):
+    return TrajectoryConfig(dt=dt, t_final=t_final, seed=seed)
 
 
 def policy_step(spec, psi, dt, u, step=0, first=0):
     """One step of the shared jump policy on a (d, M) block: (next block, largest probability, jumps)."""
     flow = compile_flow(spec)
     evaluation = rhs_block(flow, psi, want_rate=True)
-    psi_next, _, prob, jumps = jump_step(spec, flow, psi, evaluation, dt, u, step, range(first, first + psi.shape[1]))
+    psi_next, _, (prob, _), jumps = jump_step(spec, flow, psi, evaluation, dt, u, step, range(first, first + psi.shape[1]))
     return psi_next, prob, jumps
 
 
@@ -72,6 +73,11 @@ def test_config_validation():
         TrajectoryConfig(dt=0.3, t_final=1.0, seed=0)  # not on the grid
     with pytest.raises(ValueError):
         TrajectoryConfig(dt=1e-3, t_final=1.0, seed=-1)
+    with pytest.raises(ValueError, match="^dt must be positive and finite, got inf$"):
+        TrajectoryConfig(dt=float("inf"), t_final=1.0, seed=0)
+    for seed in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\^64\), got"):
+            TrajectoryConfig(dt=1e-3, t_final=1.0, seed=seed)
     cfg = TrajectoryConfig(dt=0.25, t_final=1.0, seed=0)
     assert cfg.n_steps == 4
     assert np.allclose(cfg.times, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -93,7 +99,7 @@ def test_run_is_bitwise_deterministic():
     assert np.array_equal(first.observables["pop0"], second.observables["pop0"])
     assert np.array_equal(first.final_state, second.final_state)
     assert [e.time for e in first.jumps] == [e.time for e in second.jumps]
-    third = run_trajectory(FLIP, E0_2, TrajectoryConfig(dt=1e-2, t_final=2.0, seed=5, trajectory_index=1, observables=obs))
+    third = run_trajectory(FLIP, E0_2, cfg, 1)
     assert not np.array_equal(first.observables["pop0"], third.observables["pop0"])
 
 
@@ -259,26 +265,19 @@ def test_select_channel_cumulative_scan():
 def test_oversized_step_rejected_by_norm_drift():
     psi = fock_state(20, 0)
     with pytest.raises(StepTooLarge):
-        rk4_step(compile_flow(OSC), psi, 5.0)
-    with pytest.raises(StepTooLarge):
         step_once(OSC, psi, 5.0, u1=0.99, u2=0.5)
     # zero decay rate, so the jump-probability guard passes and the
     # Runge-Kutta step's norm-drift guard is what rejects the step
     unitary = oscillator_generator(OscillatorParams(levels=8, d22=0.0))
     block = np.repeat(((fock_state(8, 0) + fock_state(8, 3)) / np.sqrt(2.0))[:, None], 3, axis=1)
-    with pytest.raises(StepTooLarge, match="trajectory 7 at t=10:") as info:
+    with pytest.raises(StepTooLarge, match="trajectory 7 at t=10:"):
         policy_step(unitary, block, 5.0, np.full((2, 3), 0.5), step=1, first=7)
-    assert info.value.column == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_state_column_is_rejected(bad):
     block = np.repeat(fock_state(20, 0)[:, None], 3, axis=1)
     block[4, 1] = bad
-    flow = compile_flow(OSC)
-    with pytest.raises(StepTooLarge) as info, np.errstate(invalid="ignore"):
-        rk4_step_block(flow, block, 1e-3)
-    assert info.value.column == 1
     # the rate of the bad column is NaN, so the jump-probability guard trips
     with pytest.raises(StepTooLarge, match="trajectory 11 at t=0.003: jump probability nan"):
         with np.errstate(invalid="ignore"):
@@ -337,9 +336,9 @@ def test_empty_channels_error_names_trajectory_and_time(monkeypatch):
     message = run_located(monkeypatch, EmptyChannels)
     assert f"trajectory {traj} at t={(step + 1) * LOC_DT:.12g}:" in message
     # the single-trajectory engine names the same place
-    cfg = TrajectoryConfig(dt=LOC_DT, t_final=LOC_DT * LOC_STEPS, seed=LOC_SEED, trajectory_index=traj)
+    cfg = TrajectoryConfig(dt=LOC_DT, t_final=LOC_DT * LOC_STEPS, seed=LOC_SEED)
     with pytest.raises(EmptyChannels) as info:
-        run_trajectory(FLIP, E0_2, cfg)
+        run_trajectory(FLIP, E0_2, cfg, traj)
     assert f"trajectory {traj} at t={(step + 1) * LOC_DT:.12g}:" in str(info.value)
 
 
@@ -418,12 +417,72 @@ def test_block_of_indices_matches_each_index_alone():
     assert len(records) == len(BLOCK_INDICES)
     assert any(record.jumps for record in records)
     for index, record in zip(BLOCK_INDICES, records):
-        alone = run_trajectory(OSC, psi0, TrajectoryConfig(**{**vars(cfg), "trajectory_index": index}))
+        alone = run_trajectory(OSC, psi0, cfg, index)
         assert jump_list(record) == jump_list(alone)
         np.testing.assert_array_equal(record.times, alone.times)
         for name, series in alone.observables.items():
             assert np.max(np.abs(record.observables[name] - series)) < 1e-8
         assert np.max(np.abs(record.final_state - alone.final_state)) < 1e-8
+
+
+# Three levels: |0> is frozen and decays into |1> at rate 1, and H_12 = 40
+# turns |1> into |2> far too fast for dt = 0.1, so a Runge-Kutta step from
+# |1> drifts off unit norm.  Under seed 6 trajectory 0 reaches |1> at t=0.2
+# and jumps back on the next step, so it never keeps a drifting step, and
+# trajectory 5 stays in |0>.
+A01 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=np.complex128)
+H12 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 40.0], [0.0, 40.0, 0.0]], dtype=np.complex128)
+TRIO = GeneratorSpec(hamiltonian=H12, couplings=(A01,), coeff=[[0.5]])
+TRIO_CONFIG = """
+[model]
+type = explicit
+dim = 3
+hamiltonian = 0,0 0,0 0,0  0,0 0,0 40,0  0,0 40,0 0,0
+couplings = 1
+coupling_1 = 0,0 1,0 0,0  1,0 0,0 0,0  0,0 0,0 0,0
+coeff = 0.5,0
+
+[initial]
+state = fock(0)
+
+[run]
+dt = 0.1
+t_final = 3.0
+n_trajectories = 1
+seed = 6
+trajectory_indices = 0 5
+
+[output]
+directory = {out}
+"""
+
+
+def test_a_step_a_jump_replaces_is_never_judged():
+    psi = np.eye(3, dtype=np.complex128)[:, [1, 0]]  # |1> drifts, |0> is frozen
+    with pytest.raises(StepTooLarge, match="trajectory 0 at t=0.1: pre-renormalization norm drifted by"):
+        policy_step(TRIO, psi, 0.1, np.array([[0.99, 0.99], [0.5, 0.5]]))
+    psi_next, _, jumps = policy_step(TRIO, psi, 0.1, np.array([[0.0, 0.99], [0.5, 0.5]]))
+    assert [j for j, _, _ in jumps] == [0]
+    np.testing.assert_array_equal(psi_next[:, 0], jump_channels(TRIO, psi[:, 0]).channels[0].target)
+    np.testing.assert_array_equal(psi_next[:, 1], psi[:, 1])
+
+
+def test_a_trajectory_does_not_fail_for_its_neighbours_step():
+    cfg = TrajectoryConfig(dt=0.1, t_final=3.0, seed=6)
+    psi0 = np.eye(3)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = run_trajectories(TRIO, psi0, cfg, (0, 5))
+        alone = [run_trajectory(TRIO, psi0, cfg, index) for index in (0, 5)]
+    assert [jump_list(record) for record in records] == [jump_list(record) for record in alone]
+    assert jump_list(records[0])[:2] == [(pytest.approx(0.2), 0), (pytest.approx(0.3), 0)]
+
+
+def test_cli_trajectory_block_with_a_jumping_neighbour_succeeds(tmp_path):
+    path = tmp_path / "trio.cfg"
+    path.write_text(TRIO_CONFIG.format(out=tmp_path / "out"))
+    assert main(["trajectory", "--config", str(path)]) == 0
+    assert (tmp_path / "out" / "jumps_00005.csv").exists()
 
 
 def test_block_jumps_do_not_depend_on_the_chunk(monkeypatch):
@@ -437,6 +496,12 @@ def test_block_jumps_do_not_depend_on_the_chunk(monkeypatch):
 def test_block_rejects_a_repeated_index():
     with pytest.raises(ValueError, match="repeat"):
         run_trajectories(FLIP, E0_2, flip_config(), (3, 1, 3))
+
+
+@pytest.mark.parametrize("index", [2.5, float("inf"), float("nan"), -1])
+def test_trajectory_rejects_an_index_that_names_no_stream(index):
+    with pytest.raises(ValueError, match=r"^trajectory index must be an integer in \[0, 2\^64\), got"):
+        run_trajectory(FLIP, E0_2, flip_config(), index)
 
 
 def test_block_rejects_an_empty_index_list():
