@@ -15,23 +15,21 @@ WINDOW is not part of the contract.
 
 Both engines share everything but their reductions: run_batch reduces
 its chunks to per-snapshot sums, trajectory.run_trajectories keeps every
-step of its blocks of requested indices.  prepare checks and prepares
-their inputs.  integrate is the one step loop: it builds the block from
-psi0, draws each column's uniforms WINDOW steps at a time from that
-column's stream and takes every step through jump_step: Bernoulli jump
-with probability w dt decided by the first uniform, channel selection by
-cumulative scan with the second, jump replacing the whole step.  Each
-state's flow evaluation is computed once and carried into the next step,
-where it gives both w and the first Runge-Kutta stage.  Jumps are rare,
-so the channel eigenproblem is solved per jumping column only.
-jump_step is also the one judge of a step, and it judges only the steps
-a column keeps.  A column's jump decisions, and whether its step is
-accepted, depend only on its stream and its own state, never on which
-other columns share its block; its last bits may, since BLAS sums a
-block of several columns in another order than a single one.
+step of its blocks of requested indices.  prepare checks their inputs.
+integrate is the one step loop: it builds the block from psi0, draws each
+column's uniforms WINDOW steps at a time from that column's stream and
+takes every step through jump_step: Bernoulli jump with probability w dt
+decided by the first uniform, channel selection by cumulative scan with
+the second, jump replacing the whole step.  The flow evaluation of a
+state, carried into the next step, gives both w and the first
+Runge-Kutta stage; the channels of all of a step's jumping columns come
+from one stacked _flow.channels_block call.  jump_step is also the one
+judge of a step, and judges only the steps a column keeps.  A column's
+jump decisions and verdicts depend only on its stream and its own state,
+never on which columns share its block; its last bits may, since BLAS
+sums a block of several columns in another order than a single one.
 expectations gives both drivers' observable values, and warn_jump_prob
-gives their one warning when a step's jump probability passed
-JUMP_PROB_WARN.
+their one warning when a step's jump probability passed JUMP_PROB_WARN.
 
 The worker threads are the engine's only parallelism.  For the duration
 of run_batch (and of ensemble.run_ensemble, which includes the oracle
@@ -63,7 +61,7 @@ from . import _flow
 from .errors import DimensionMismatch, EmptyChannels, NegativeRate, StepTooLarge
 from .generator import GeneratorSpec
 from .linalg import as_state, normalize
-from .unraveling import RATE_CLAMP, RateReport, jump_channels
+from .unraveling import RATE_CLAMP
 
 CHUNK = 1024
 WINDOW = 64  # steps of uniforms a chunk holds at once: 1 MiB at CHUNK columns
@@ -164,11 +162,10 @@ def trajectory_rng(seed: int, trajectory_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def select_channel(report: RateReport, u2: float) -> int:
+def select_channel(rates: np.ndarray, u2: float) -> int:
     """Channel index chosen with probability rate / total by cumulative scan."""
-    rates = report.rates
     if rates.size == 0:
-        raise EmptyChannels("cannot select a channel from an empty report")
+        raise EmptyChannels("cannot select a channel from no channel rates")
     threshold = u2 * float(rates.sum())
     running = 0.0
     for n, rate in enumerate(rates):
@@ -189,7 +186,6 @@ def _first(mask: np.ndarray) -> int | None:
 
 
 def jump_step(
-    spec: GeneratorSpec,
     flow: _flow.CompiledFlow,
     psi: np.ndarray,
     evaluation: tuple[np.ndarray, np.ndarray],
@@ -200,9 +196,9 @@ def jump_step(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[float, int], list[tuple[int, float, int]]]:
     """One step of the jump policy for every column of the (d, M) block psi.
 
-    evaluation is _flow.rhs_block(flow, psi, want_rate=True): the flow rhs
-    and the decay rate w at psi.  It supplies both the jump probability
-    w dt and the first Runge-Kutta stage, so each state is evaluated once.
+    evaluation is _flow.rhs_block(flow, psi): the flow rhs and the decay
+    rate w at psi.  It supplies both the jump probability w dt and the
+    first Runge-Kutta stage, so each state is evaluated once.
     Column j is trajectory indices[j], u[:, j] is its pair of uniforms for
     this step and the step lands on t = (step + 1) dt; errors name both.
     A column jumps when u[0, j] < w dt; the jump replaces the whole step
@@ -229,19 +225,18 @@ def jump_step(
     jumps: list[tuple[int, float, int]] = []
     targets: dict[int, np.ndarray] = {}
     fires = u[0] < prob
-    for j in np.flatnonzero(fires) if _first(fires) is not None else ():
-        j = int(j)
-        report = jump_channels(spec, psi[:, j])
-        if not report.channels:
-            if rate[j] > RATE_FLOOR_ABS:
-                raise EmptyChannels(
-                    f"{_where(indices[j], step + 1, dt)}: decay rate {rate[j]:.3e} but every channel was filtered out"
-                )
-            continue
-        chosen = select_channel(report, float(u[1, j]))
-        channel = report.channels[chosen]
-        jumps.append((j, channel.rate, chosen))
-        targets[j] = channel.target
+    if _first(fires) is not None:
+        jumping = np.flatnonzero(fires)
+        for j, (rates, channels) in zip(jumping.tolist(), _flow.channels_block(flow, psi[:, jumping])):
+            if rates.size == 0:
+                if rate[j] > RATE_FLOOR_ABS:
+                    raise EmptyChannels(
+                        f"{_where(indices[j], step + 1, dt)}: decay rate {rate[j]:.3e} but every channel was filtered out"
+                    )
+                continue
+            chosen = select_channel(rates, float(u[1, j]))
+            jumps.append((j, float(rates[chosen]), chosen))
+            targets[j] = channels[:, chosen]
     psi_next, drift = _flow.rk4_step_block(flow, psi, dt, k1=k1)
     for j, target in targets.items():
         psi_next[:, j] = target
@@ -253,7 +248,7 @@ def jump_step(
             f"{_where(indices[j], step + 1, dt)}: pre-renormalization norm drifted by {drift[j]:.3e} > {NORM_DRIFT_MAX:.1e}; reduce dt"
         )
     j = int(prob.argmax())
-    return psi_next, _flow.rhs_block(flow, psi_next, want_rate=True), (float(prob[j]), indices[j]), jumps
+    return psi_next, _flow.rhs_block(flow, psi_next), (float(prob[j]), indices[j]), jumps
 
 
 # (jump probability, trajectory index, k) of the first step to reach a run's largest probability
@@ -261,7 +256,6 @@ Peak = tuple[float, int, int]
 
 
 def integrate(
-    spec: GeneratorSpec,
     flow: _flow.CompiledFlow,
     psi0: np.ndarray,
     seed: int,
@@ -279,7 +273,7 @@ def integrate(
     streams = [trajectory_rng(seed, index) for index in indices]
     uniforms = np.empty((min(WINDOW, n_steps), 2, len(streams)), dtype=np.float64)
     psi = np.repeat(psi0[:, None], len(streams), axis=1)
-    evaluation = _flow.rhs_block(flow, psi, want_rate=True)
+    evaluation = _flow.rhs_block(flow, psi)
     peak: Peak = (0.0, indices[0], 0)
     yield 0, psi, [], peak
     for i in range(n_steps):
@@ -288,7 +282,7 @@ def integrate(
             rows = min(WINDOW, n_steps - i)
             for j, stream in enumerate(streams):
                 uniforms[:rows, :, j] = stream.random((rows, 2))
-        psi, evaluation, (prob, index), jumps = jump_step(spec, flow, psi, evaluation, dt, uniforms[row], i, indices)
+        psi, evaluation, (prob, index), jumps = jump_step(flow, psi, evaluation, dt, uniforms[row], i, indices)
         if prob > peak[0]:
             peak = (prob, index, i + 1)
         yield i + 1, psi, jumps, peak
@@ -415,7 +409,7 @@ def run_batch(
             osum[slot] = vals.sum(axis=0)
             osqdev[slot] = ((vals - osum[slot] / m) ** 2).sum(axis=0)
 
-        for k, psi, _, peak in integrate(spec, flow, psi0, seed, range(lo, hi), dt, n_steps):
+        for k, psi, _, peak in integrate(flow, psi0, seed, range(lo, hi), dt, n_steps):
             slot = slot_of.get(k)
             if slot is not None:
                 accumulate(slot, psi)

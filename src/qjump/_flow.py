@@ -1,39 +1,37 @@
-"""Compiled evaluation of the no-jump flow and the total decay rate.
+"""Compiled evaluation of the no-jump flow, the decay rate and the jump channels.
 
 compile_flow folds a GeneratorSpec into one stack of dense d x d blocks,
-so the flow right hand side and the decay rate come from a single
-stacked matrix product, for a single state or for a whole block of
-states at once (columns of a (d, M) array).  Both engines reach this
-module through the one step policy, _batch.jump_step, so a single
-trajectory and an ensemble integrate the exact same discretized flow and
-read their jump probability off the same rate evaluation.  This module
-only computes: it reports a step's norm drift and never judges it, so
-jump_step alone decides which steps fail, and only among those it keeps.
-
-The stack holds C on top, then the active couplings A_a, then K:
+C on top, then the active couplings A_a:
 
     C    = -(i/hbar) H
            - (2i/hbar^2) sum_{a<b} Im D_ab A_b A_a
            - (1/hbar^2)  sum_{a,b} Re D_ab A_a A_b
-    K    = sum_{a,b} E_ab A_a A_b
 
-where E_ab = (2i/hbar^2) Im D_ab for a < b minus (1/hbar^2) Re D_ab.
-One product y = stack psi (without the K block when no rate is wanted)
-and one conjugated dot product per block,
-
-    q    = (psi^dag C psi, s_1, ..., s_n, psi^dag K psi),   s_a = psi^dag A_a psi,
-
-give every bilinear the flow needs, with no normalization.  Then
+so everything a step needs comes from one stacked product y = stack psi,
+for a single state or a whole (d, M) block of columns.  Both engines
+reach this module through the one step policy, _batch.jump_step, which
+alone judges a step; this module only computes.  One conjugated dot
+product per block, q = (psi^dag C psi, s_1, ..., s_n) with s_a =
+psi^dag A_a psi, gives every bilinear the flow needs:
 
     v         = C psi + sum_a g_a A_a psi,      g = (2/hbar^2) D s
     psi^dag v = q_0 + sum_a g_a s_a
     rhs       = v - (psi^dag v) psi
-    rate      = -Re[ psi^dag v + psi^dag K psi ]
+    rate      = -Re[ psi^dag v + psi^dag C psi ]
 
-For a normalized psi, rhs equals (L[psi psi^dag] - <L>) psi and rate
-equals the total decay rate, exactly in exact arithmetic.  Couplings
-whose rows and columns of D vanish drop out of every term and are
-excluded from the stack; with none active, K is zero.
+For a normalized psi, rhs equals (L[psi psi^dag] - <L>) psi and rate the
+total decay rate -<L>, exactly in exact arithmetic: the part of -<L>
+beyond -Re psi^dag v has the real part of psi^dag C psi, because the H
+term is imaginary in expectation and <A_b A_a> is the conjugate of
+<A_a A_b>.  Couplings whose rows and columns of D vanish drop out of
+every term and are excluded from the stack.
+
+The jump channels are the eigenpairs of the modified rate operator
+W' = Phi G Phi^dag, G = (2/hbar^2) D, whose columns phi_a = (A_a - s_a) psi
+are the coupling rows of y less their means.  With the reduced QR
+factorization Phi = Q R, W' = Q (R G R^dag) Q^dag, so channels_block
+solves one small eigenproblem per state, of the size of the coupling
+count, and maps its eigenvectors through Q.
 """
 
 from __future__ import annotations
@@ -42,14 +40,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NegativeRate
 from .generator import GeneratorSpec
+from .linalg import _fix_phases
+
+NEGATIVE_RATE_TOL = 1e-6
+RATE_FLOOR_REL = 1e-12
+OVERLAP_TOL = 1e-6
 
 
 @dataclass(eq=False)
 class CompiledFlow:
     dim: int
     hbar: float
-    stack: np.ndarray  # ((2 + n_active) * d, d): C on top, active couplings, K at the bottom
+    stack: np.ndarray  # ((1 + n_active) * d, d): C on top, then the active couplings
     n_active: int
     gain: np.ndarray  # (n_active, n_active): (2/hbar^2) D restricted to active rows
 
@@ -59,11 +63,7 @@ def compile_flow(spec: GeneratorSpec) -> CompiledFlow:
     d = spec.dim
     hbar = spec.hbar
     coeff = spec.coeff
-    active = [
-        a
-        for a in range(spec.n_couplings)
-        if np.any(coeff[a, :] != 0.0) or np.any(coeff[:, a] != 0.0)
-    ]
+    active = [a for a in range(spec.n_couplings) if np.any(coeff[a, :] != 0.0) or np.any(coeff[:, a] != 0.0)]
     ops = [np.asarray(spec.couplings[a]) for a in active]
     ka = len(ops)
     sub = coeff[np.ix_(active, active)] if ka else np.zeros((0, 0), dtype=np.complex128)
@@ -81,35 +81,49 @@ def compile_flow(spec: GeneratorSpec) -> CompiledFlow:
             if im_d[a, b] != 0.0:
                 cmat = cmat - (2j * ih2 * im_d[a, b]) * (ops[b] @ ops[a])
 
-    # K = sum_ab E_ab A_a A_b, the rate's bilinear beyond psi^dag v
-    kmat = np.zeros((d, d), dtype=np.complex128)
-    for a in range(ka):
-        for b in range(ka):
-            e_ab = -ih2 * re_d[a, b] + (2j * ih2 * im_d[a, b] if a < b else 0.0)
-            if e_ab != 0.0:
-                kmat = kmat + e_ab * (ops[a] @ ops[b])
-
-    stack = np.vstack([cmat, *ops, kmat])
+    stack = np.vstack([cmat, *ops])
     return CompiledFlow(dim=d, hbar=hbar, stack=stack, n_active=ka, gain=(2.0 * ih2) * sub)
 
 
-def rhs_block(cf: CompiledFlow, psi: np.ndarray, want_rate: bool = False):
-    """Flow rhs for a (d, M) block; optionally also the decay rate per column."""
+def rhs_block(cf: CompiledFlow, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flow rhs and decay rate of each column of a (d, M) block."""
     d = cf.dim
-    stack = cf.stack if want_rate else cf.stack[:-d]
-    y = (stack @ psi).reshape(-1, d, psi.shape[1])
+    y = (cf.stack @ psi).reshape(-1, d, psi.shape[1])
     q = np.vecdot(psi, y, axis=-2)
-    s = q[1 : 1 + cf.n_active]
+    s = q[1:]
     g = cf.gain @ s
     v = y[0]
     dot = q[0]
     for a in range(cf.n_active):
         v = v + g[a] * y[1 + a]
         dot = dot + g[a] * s[a]
-    rhs = v - psi * dot
-    if not want_rate:
-        return rhs, None
-    return rhs, -(dot + q[-1]).real
+    return v - psi * dot, -(dot.real + q[0].real)
+
+
+def channels_block(cf: CompiledFlow, psi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Jump channels of each unit column of a (d, M) block, as (ascending rates, (d, k) targets).
+
+    Targets are phase-fixed.  A channel is dropped when its rate does not
+    exceed 1e-12 of the column's total, or when its target overlaps psi
+    by more than 1e-6, which only a phi_a cancelled to roundoff leaves.
+    Raises NegativeRate for a rate below -1e-6: an invalid coefficient matrix.
+    """
+    d, m = psi.shape
+    if cf.n_active == 0:
+        return [(np.zeros(0), np.zeros((d, 0), dtype=np.complex128))] * m
+    rows = (cf.stack[d:] @ psi).reshape(cf.n_active, d, m)
+    phi = rows - np.vecdot(psi, rows, axis=-2)[:, None, :] * psi
+    q, r = np.linalg.qr(phi.transpose(2, 1, 0))
+    rates, vecs = np.linalg.eigh(r @ cf.gain @ r.conj().mT)
+    low = float(rates[:, 0].min())
+    if not (low >= -NEGATIVE_RATE_TOL):
+        raise NegativeRate(f"rate operator has eigenvalue {low:.3e} < -{NEGATIVE_RATE_TOL:.1e}")
+    k = rates.shape[1]
+    targets = _fix_phases((q @ vecs).transpose(1, 0, 2).reshape(d, m * k)).reshape(d, m, k)
+    overlap = np.abs(np.vecdot(psi[:, :, None], targets, axis=0))
+    floor = RATE_FLOOR_REL * np.maximum(rates.sum(axis=1), 0.0)
+    keep = (rates > floor[:, None]) & (overlap <= OVERLAP_TOL)
+    return [(rates[j, keep[j]], targets[:, j, keep[j]]) for j in range(m)]
 
 
 def rk4_step_block(

@@ -46,7 +46,7 @@ from .oscillator import (
 from .trajectory import TrajectoryConfig, run_trajectories, write_event_log
 from .unraveling import (
     RateReport,
-    channels_from_rate_operator,
+    jump_channels,
     modified_rate_operator,
     total_decay_rate,
     transition_rate_operator,
@@ -102,7 +102,7 @@ def _reconstruction_defect(report: RateReport, wp_op: np.ndarray) -> float:
 def _generic_defects(spec: GeneratorSpec, psi: np.ndarray, rhs: np.ndarray, flow_rate: float, w: float, wp_op: np.ndarray) -> dict[str, float]:
     """The GENERIC_CHECKS values at one probe state: compiled flow rhs and rate, decay rate w, W' = wp_op."""
     low = lowest_eigenvalue(wp_op)
-    report = channels_from_rate_operator(wp_op, psi)
+    report = jump_channels(spec, psi)
     return {
         "flow_norm_tangency": abs(2.0 * np.vdot(psi, rhs).real),
         "flow_decay_rate": abs(flow_rate - w) / max(1.0, w),
@@ -146,7 +146,7 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
     for psi in _probe_states(cfg):
         w = total_decay_rate(spec, psi)
         wp_op = modified_rate_operator(spec, psi)
-        rhs, flow_rate = rhs_block(flow, psi[:, None], want_rate=True)
+        rhs, flow_rate = rhs_block(flow, psi[:, None])
         generic.append(_generic_defects(spec, psi, rhs[:, 0], float(flow_rate[0]), w, wp_op))
         if params is not None:
             oscillator.append(_oscillator_defects(spec, params, psi, rhs[:, 0], w, wp_op))

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._batch import run_batch, single_blas_thread
-from ._flow import compile_flow, rk4_step_block
+from ._flow import channels_block, compile_flow, rk4_step_block
 from ._io import fmt, write_lines
 from .errors import PositivityLost
 from .generator import GeneratorSpec, apply_generator
 from .linalg import as_operator, as_state, hermiticity_defect, normalize, outer, trace_distance
 from .trajectory import TrajectoryConfig, grid_step
-from .unraveling import jump_channels
 
 TRACE_DRIFT_TOL = 1e-12
 HERMITICITY_DRIFT_TOL = 1e-12
@@ -135,11 +134,10 @@ def single_step_equivalence_test(spec: GeneratorSpec, psi: np.ndarray, eps: floa
     psi = normalize(as_state(psi))
     proj = outer(psi)
     rho_a = proj + eps * apply_generator(spec, proj)
-    report = jump_channels(spec, psi)
-    evolved = rk4_step_block(compile_flow(spec), psi[:, None], eps)[0][:, 0]
-    rho_b = (1.0 - eps * report.total) * outer(evolved)
-    for channel in report.channels:
-        rho_b += (eps * channel.rate) * outer(channel.target)
+    flow = compile_flow(spec)
+    rates, targets = channels_block(flow, psi[:, None])[0]
+    evolved = rk4_step_block(flow, psi[:, None], eps)[0][:, 0]
+    rho_b = (1.0 - eps * rates.sum()) * outer(evolved) + (eps * targets * rates) @ targets.conj().T
     return float(np.max(np.abs(rho_a - rho_b)))
 
 

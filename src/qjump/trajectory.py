@@ -87,7 +87,6 @@ class JumpEvent:
 
     time: float
     channel_rate: float
-    pre_state_norm_check: float
     target_index: int
 
 
@@ -132,11 +131,9 @@ def run_trajectories(
         chunk = indices[lo : lo + _batch.CHUNK]
         values = np.empty((len(chunk), len(names), n + 1), dtype=np.float64)
         events: list[list[JumpEvent]] = [[] for _ in chunk]
-        for k, nxt, fired, peak in _batch.integrate(spec, flow, psi0, cfg.seed, chunk, cfg.dt, n):
+        for k, block, fired, peak in _batch.integrate(flow, psi0, cfg.seed, chunk, cfg.dt, n):
             for j, rate, chosen in fired:
-                pre_norm = float(np.linalg.norm(block[:, j]))
-                events[j].append(JumpEvent(time=k * cfg.dt, channel_rate=rate, pre_state_norm_check=pre_norm, target_index=chosen))
-            block = nxt
+                events[j].append(JumpEvent(time=k * cfg.dt, channel_rate=rate, target_index=chosen))
             values[:, :, k] = _batch.expectations(obs_stack, block)
         peaks.append(peak)
         records += [

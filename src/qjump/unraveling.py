@@ -25,14 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._flow import NEGATIVE_RATE_TOL, OVERLAP_TOL, RATE_FLOOR_REL, channels_block, compile_flow
 from .errors import NegativeRate
 from .generator import GeneratorSpec, apply_generator
 from .linalg import as_state, eigh_phase_fixed, expectation, lowest_eigenvalue, outer
 
 RATE_CLAMP = 1e-10
-NEGATIVE_RATE_TOL = 1e-6
-RATE_FLOOR_REL = 1e-12
-OVERLAP_TOL = 1e-6
 NORM_TOL = 1e-6
 
 
@@ -83,8 +81,8 @@ def total_decay_rate(spec: GeneratorSpec, psi: np.ndarray) -> float:
 
     This is the reference route, through the projector image at O(d^3)
     per call.  The engines read the same number off the compiled flow
-    (_flow.rhs_block with want_rate=True); the tests and ``qjump verify``
-    compare the two routes.
+    (_flow.rhs_block); the tests and ``qjump verify`` compare the two
+    routes.
     """
     psi = _require_unit(psi)
     return _clamp_rate(-float(expectation(apply_generator(spec, outer(psi)), psi).real))
@@ -140,23 +138,19 @@ def channels_from_rate_operator(w_op: np.ndarray, psi: np.ndarray) -> RateReport
     if float(evals[0]) < -NEGATIVE_RATE_TOL:
         raise NegativeRate(f"rate operator has eigenvalue {evals[0]:.3e} < -{NEGATIVE_RATE_TOL:.1e}")
     total = _clamp_rate(float(np.trace(w_op).real))
-    floor = RATE_FLOOR_REL * total
-    channels: list[JumpChannel] = []
-    for n in range(evals.shape[0]):
-        rate = float(evals[n])
-        if rate <= floor:
-            continue
-        target = vecs[:, n]
-        if abs(complex(np.vdot(target, psi))) > OVERLAP_TOL:
-            continue
-        channels.append(JumpChannel(rate=rate, target=target))
-    return RateReport(total=total, channels=channels)
+    keep = (evals > RATE_FLOOR_REL * total) & (np.abs(psi.conj() @ vecs) <= OVERLAP_TOL)
+    return RateReport(total=total, channels=[JumpChannel(rate=float(evals[n]), target=vecs[:, n]) for n in np.flatnonzero(keep)])
 
 
 def jump_channels(spec: GeneratorSpec, psi: np.ndarray) -> RateReport:
-    """Jump channels out of psi: eigenpairs of the modified rate operator."""
-    psi = _require_unit(psi)
-    return channels_from_rate_operator(_rate_matrix(spec, psi, 1.0), psi)
+    """Jump channels out of psi, as the engines find them (_flow.channels_block); total is their rate sum.
+
+    channels_from_rate_operator(modified_rate_operator(spec, psi), psi) is
+    the reference route, through the d x d W'; tests and ``qjump verify`` compare the two.
+    """
+    rates, targets = channels_block(compile_flow(spec), _require_unit(psi)[:, None])[0]
+    channels = [JumpChannel(rate=float(rate), target=targets[:, k]) for k, rate in enumerate(rates)]
+    return RateReport(total=float(rates.sum()), channels=channels)
 
 
 def frictional_rhs(spec: GeneratorSpec, psi: np.ndarray) -> np.ndarray:

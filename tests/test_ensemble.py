@@ -114,7 +114,6 @@ def test_engine_matches_single_trajectory_runner():
         records = run_trajectories(OSC, psi0, TrajectoryConfig(dt=1e-3, t_final=0.4, seed=31), range(3))
         assert any(record.jumps for record in records) == (level > 0)
         for idx, record in enumerate(records):
-            assert all(event.pre_state_norm_check == pytest.approx(1.0, abs=1e-12) for event in record.jumps)
             assert np.max(np.abs(batch.block_sums[0, (10 * idx) // 3] - outer(record.final_state))) < 1e-9
 
 

@@ -63,9 +63,9 @@ def spy_rhs_block(monkeypatch, get):
     seen = []
     real = _flow.rhs_block
 
-    def spy(flow, psi, want_rate=False):
+    def spy(flow, psi):
         seen.append(get())
-        return real(flow, psi, want_rate)
+        return real(flow, psi)
 
     monkeypatch.setattr(_flow, "rhs_block", spy)
     return seen
@@ -125,7 +125,7 @@ def test_overlapping_runs_restore_blas_count_when_the_last_leaves(monkeypatch, b
     seen = {}
     real = _flow.rhs_block
 
-    def gated(flow, psi, want_rate=False):
+    def gated(flow, psi):
         name = threading.current_thread().name
         if name not in seen:
             seen[name] = []
@@ -133,7 +133,7 @@ def test_overlapping_runs_restore_blas_count_when_the_last_leaves(monkeypatch, b
             if name == "late":
                 assert early_done.wait(60)
         seen[name].append(blas())
-        return real(flow, psi, want_rate)
+        return real(flow, psi)
 
     monkeypatch.setattr(_flow, "rhs_block", gated)
     errors = []

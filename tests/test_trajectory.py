@@ -29,7 +29,7 @@ from qjump.trajectory import (
     trajectory_rng,
     write_event_log,
 )
-from qjump.unraveling import JumpChannel, RateReport, jump_channels
+from qjump.unraveling import jump_channels
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 FLIP = GeneratorSpec(hamiltonian=np.zeros((2, 2)), couplings=(SX,), coeff=[[0.5]])
@@ -45,8 +45,8 @@ def flip_config(dt=1e-3, t_final=1.0, seed=42):
 def policy_step(spec, psi, dt, u, step=0, first=0):
     """One step of the shared jump policy on a (d, M) block: (next block, largest probability, jumps)."""
     flow = compile_flow(spec)
-    evaluation = rhs_block(flow, psi, want_rate=True)
-    psi_next, _, (prob, _), jumps = jump_step(spec, flow, psi, evaluation, dt, u, step, range(first, first + psi.shape[1]))
+    evaluation = rhs_block(flow, psi)
+    psi_next, _, (prob, _), jumps = jump_step(flow, psi, evaluation, dt, u, step, range(first, first + psi.shape[1]))
     return psi_next, prob, jumps
 
 
@@ -154,7 +154,7 @@ def test_maybe_jump_bernoulli_contract(monkeypatch):
     assert jumps == [(0, jumps[0][1], 0)]
     assert jumps[0][1] == pytest.approx(0.5, abs=1e-10)
     # the same draws through run_trajectory, whose event carries the time
-    # the step lands on and the norm of the state it jumped from
+    # the step lands on
     cfg = TrajectoryConfig(dt=1e-3, t_final=1e-3, seed=0)
     forced_uniforms(monkeypatch, 5.1e-4, 0.5)
     assert run_trajectory(OSC, psi, cfg).jumps == []
@@ -162,7 +162,7 @@ def test_maybe_jump_bernoulli_contract(monkeypatch):
     record = run_trajectory(OSC, psi, cfg)
     assert abs(np.vdot(fock_state(20, 1), record.final_state)) >= 1.0 - 1e-10
     (event,) = record.jumps
-    assert event == JumpEvent(time=1e-3, channel_rate=event.channel_rate, pre_state_norm_check=1.0, target_index=0)
+    assert event == JumpEvent(time=1e-3, channel_rate=event.channel_rate, target_index=0)
     assert event.channel_rate == pytest.approx(0.5, abs=1e-10)
 
 
@@ -212,11 +212,10 @@ def test_batch_warning_names_the_trajectory_and_time(monkeypatch, threads):
     monkeypatch.setattr(_batch, "CHUNK", 4)
     real = _flow.rhs_block
 
-    def fake(flow, psi, want_rate=False):
-        rhs, rate = real(flow, psi, want_rate)
-        if want_rate:
-            rate = rate.copy()
-            rate[1] = 3.0 if psi.shape[1] == 3 else 2.5
+    def fake(flow, psi):
+        rhs, rate = real(flow, psi)
+        rate = rate.copy()
+        rate[1] = 3.0 if psi.shape[1] == 3 else 2.5
         return rhs, rate
 
     monkeypatch.setattr(_flow, "rhs_block", fake)
@@ -247,19 +246,13 @@ def test_jump_probability_warning_points_at_the_caller(entry):
 
 
 def test_select_channel_cumulative_scan():
-    report = RateReport(
-        total=0.5,
-        channels=[
-            JumpChannel(rate=0.2, target=np.array([1.0, 0.0])),
-            JumpChannel(rate=0.3, target=np.array([0.0, 1.0])),
-        ],
-    )
-    assert select_channel(report, 0.0) == 0
-    assert select_channel(report, 0.39) == 0
-    assert select_channel(report, 0.41) == 1
-    assert select_channel(report, 0.999999) == 1
+    rates = np.array([0.2, 0.3])
+    assert select_channel(rates, 0.0) == 0
+    assert select_channel(rates, 0.39) == 0
+    assert select_channel(rates, 0.41) == 1
+    assert select_channel(rates, 0.999999) == 1
     with pytest.raises(EmptyChannels):
-        select_channel(RateReport(total=0.0, channels=[]), 0.5)
+        select_channel(np.zeros(0), 0.5)
 
 
 def test_oversized_step_rejected_by_norm_drift():
@@ -320,19 +313,22 @@ def rate_after_jump(monkeypatch, value):
     """Make the flow report rate `value` for every column that has jumped to |1>."""
     real = _flow.rhs_block
 
-    def fake(flow, psi, want_rate=False):
-        rhs, rate = real(flow, psi, want_rate)
-        if want_rate:
-            rate = np.where(np.abs(psi[1]) > 0.5, value, rate)
-        return rhs, rate
+    def fake(flow, psi):
+        rhs, rate = real(flow, psi)
+        return rhs, np.where(np.abs(psi[1]) > 0.5, value, rate)
 
     monkeypatch.setattr(_flow, "rhs_block", fake)
+
+
+def no_channels(flow, psi):
+    """channels_block with every channel of every column filtered out."""
+    return [(np.zeros(0), np.zeros((psi.shape[0], 0), dtype=np.complex128))] * psi.shape[1]
 
 
 def test_empty_channels_error_names_trajectory_and_time(monkeypatch):
     traj, step = first_jump()
     assert (traj, step) == (5, 1)
-    monkeypatch.setattr(_batch, "jump_channels", lambda spec, psi: _batch.RateReport(total=1.0, channels=[]))
+    monkeypatch.setattr(_flow, "channels_block", no_channels)
     message = run_located(monkeypatch, EmptyChannels)
     assert f"trajectory {traj} at t={(step + 1) * LOC_DT:.12g}:" in message
     # the single-trajectory engine names the same place
@@ -345,7 +341,7 @@ def test_empty_channels_error_names_trajectory_and_time(monkeypatch):
 def test_block_error_names_the_index_of_its_column(monkeypatch):
     # indices 0 and 2 do not jump within the window, so the first jump, and the error, is 5's
     traj, step = first_jump()
-    monkeypatch.setattr(_batch, "jump_channels", lambda spec, psi: _batch.RateReport(total=1.0, channels=[]))
+    monkeypatch.setattr(_flow, "channels_block", no_channels)
     cfg = TrajectoryConfig(dt=LOC_DT, t_final=LOC_DT * LOC_STEPS, seed=LOC_SEED)
     with pytest.raises(EmptyChannels, match=f"trajectory {traj} at t={(step + 1) * LOC_DT:.12g}:"):
         run_trajectories(FLIP, E0_2, cfg, (0, 2, traj))
@@ -513,9 +509,9 @@ def test_block_warns_once_naming_the_largest_probability(monkeypatch):
     # only column 1 (index 4) is pushed above the warning threshold
     real = _flow.rhs_block
 
-    def fake(flow, psi, want_rate=False):
-        rhs, rate = real(flow, psi, want_rate)
-        if want_rate and psi.shape[1] > 1:
+    def fake(flow, psi):
+        rhs, rate = real(flow, psi)
+        if psi.shape[1] > 1:
             rate = rate.copy()
             rate[1] = 3.0
         return rhs, rate

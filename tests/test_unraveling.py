@@ -8,12 +8,13 @@ fock(n) at rate 2 D22 sigma_xx with sigma_xx = (2n+1)/2 in natural units.
 import numpy as np
 import pytest
 
-from qjump._flow import compile_flow, rhs_block
+from qjump._flow import channels_block, compile_flow, rhs_block
 from qjump.generator import GeneratorSpec, apply_generator, random_hermitian
 from qjump.linalg import expectation, normalize, orthonormal_completion, outer
-from qjump.oscillator import OscillatorParams, fock_state, oscillator_generator
+from qjump.oscillator import OscillatorParams, fock_state, oscillator_generator, random_truncation_safe_state
 from qjump.unraveling import (
     RateReport,
+    channels_from_rate_operator,
     frictional_rhs,
     jump_channels,
     modified_rate_operator,
@@ -27,19 +28,21 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 FLIP = GeneratorSpec(hamiltonian=np.zeros((2, 2)), couplings=(SX,), coeff=[[0.5]])
 OSC = OscillatorParams(levels=20, d22=0.5)
 OSC_SPEC = oscillator_generator(OSC)
+FULL = OscillatorParams(levels=20, d11=0.3, d22=0.5, re_d12=0.1, im_d12=0.05)
 
 
 def random_state(dim, rng):
     return normalize(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
 
-def random_spec(dim, n_couplings, rng):
+def random_spec(dim, n_couplings, rng, hbar=1.0):
     coups = tuple(random_hermitian(dim, rng) for _ in range(n_couplings))
     raw = rng.standard_normal((n_couplings, n_couplings)) + 1j * rng.standard_normal((n_couplings, n_couplings))
     return GeneratorSpec(
         hamiltonian=random_hermitian(dim, rng),
         couplings=coups,
         coeff=raw @ raw.conj().T,
+        hbar=hbar,
     )
 
 
@@ -54,34 +57,89 @@ THREE_LEVEL = GeneratorSpec(
 )
 
 
+# random 7-level model: three couplings, complex D, hbar != 1
+SEVEN_LEVEL = random_spec(7, 3, np.random.default_rng(5), hbar=0.7)
+HAMILTONIAN_ONLY = GeneratorSpec(hamiltonian=random_hermitian(5, np.random.default_rng(4)), couplings=(), coeff=np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize(
     "spec",
     [
         FLIP,
         OSC_SPEC,
-        oscillator_generator(OscillatorParams(levels=20, d11=0.3, d22=0.5, re_d12=0.1, im_d12=0.05)),
-        GeneratorSpec(hamiltonian=random_hermitian(5, np.random.default_rng(4)), couplings=(), coeff=np.zeros((0, 0))),
+        oscillator_generator(FULL),
+        HAMILTONIAN_ONLY,
         THREE_LEVEL,
+        SEVEN_LEVEL,
     ],
-    ids=["flip", "diffusion-only", "full-rank", "hamiltonian-only", "three-level"],
+    ids=["flip", "diffusion-only", "full-rank", "hamiltonian-only", "three-level", "seven-level"],
 )
 def test_flow_rate_matches_reference_route(spec):
     # both engines take w from the compiled flow; total_decay_rate is the
     # reference route.  Im D12 != 0 in the full-rank model exercises the
-    # E_ab cross terms of the flow rate.  The rhs, at M = 20 and at M = 1,
-    # is checked against the projector route frictional_rhs.
+    # friction term, whose part of the rate Re <C> stands in for.  The rhs,
+    # at M = 20 and at M = 1, is checked against the projector route
+    # frictional_rhs.
     rng = np.random.default_rng(11)
     flow = compile_flow(spec)
     states = np.stack([random_state(spec.dim, rng) for _ in range(20)], axis=1)
-    rhs, rates = rhs_block(flow, states, want_rate=True)
+    rhs, rates = rhs_block(flow, states)
     for j in range(states.shape[1]):
         w = total_decay_rate(spec, states[:, j])
         assert abs(rates[j] - w) <= 1e-12 * max(1.0, w)
-        single_rhs, single = rhs_block(flow, states[:, j : j + 1], want_rate=True)
+        single_rhs, single = rhs_block(flow, states[:, j : j + 1])
         assert abs(single[0] - w) <= 1e-12 * max(1.0, w)
         reference = frictional_rhs(spec, states[:, j])
         assert np.max(np.abs(rhs[:, j] - reference)) <= 1e-13
         assert np.max(np.abs(single_rhs[:, 0] - reference)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "spec, safe",
+    [
+        (FLIP, False),
+        (OSC_SPEC, True),
+        (oscillator_generator(FULL), True),
+        (oscillator_generator(OscillatorParams(levels=40, d11=0.3, d22=0.5, re_d12=0.1, im_d12=0.05)), True),
+        (THREE_LEVEL, False),
+        (SEVEN_LEVEL, False),
+        (HAMILTONIAN_ONLY, False),
+    ],
+    ids=["flip", "diffusion-only-d20", "full-rank-d20", "full-rank-d40", "three-level", "seven-level", "hamiltonian-only"],
+)
+def test_channels_block_matches_reference_route(spec, safe):
+    # the engines' channels come from the coupling rows and one small
+    # eigenproblem per column; the reference eigendecomposes the d x d W'
+    rng = np.random.default_rng(23)
+    flow = compile_flow(spec)
+    states = np.stack(
+        [random_truncation_safe_state(spec.dim, rng) if safe else random_state(spec.dim, rng) for _ in range(8)], axis=1
+    )
+    block = channels_block(flow, states)
+    for j in range(states.shape[1]):
+        psi = states[:, j]
+        reference = channels_from_rate_operator(modified_rate_operator(spec, psi), psi)
+        scale = max(1.0, reference.total)
+        rates, targets = block[j]
+        assert rates.shape == (len(reference.channels),)
+        assert np.max(np.abs(rates - reference.rates), initial=0.0) <= 1e-13 * scale
+        for k, channel in enumerate(reference.channels):
+            assert np.max(np.abs(targets[:, k] - channel.target)) <= 1e-12
+        single_rates, single_targets = channels_block(flow, states[:, j : j + 1])[0]
+        assert np.max(np.abs(rates - single_rates), initial=0.0) <= 1e-14 * scale
+        assert np.max(np.abs(targets - single_targets), initial=0.0) <= 1e-14
+
+
+def test_rank_deficient_coupling_rows_yield_no_channel():
+    # on an sx eigenstate phi = (sx - <sx>) psi cancels to roundoff: rate 0, no channel
+    for plus in (normalize(np.array([1.0, 1.0])), normalize(np.array([1.0, -1.0]))):
+        assert jump_channels(FLIP, plus).channels == []
+    # psi = |0> is an sz eigenstate, so of the two couplings only sx leaves a channel
+    spec = GeneratorSpec(hamiltonian=np.zeros((2, 2)), couplings=(SZ, SX), coeff=[[0.3, 0.1j], [-0.1j, 0.5]])
+    report = jump_channels(spec, np.array([1.0, 0.0]))
+    assert len(report.channels) == 1
+    assert report.channels[0].rate == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_allclose(report.channels[0].target, [0.0, 1.0], atol=1e-15)
 
 
 def test_flip_model_rate():
