@@ -15,7 +15,9 @@ WINDOW is not part of the contract.
 
 Both engines share everything but their reductions: run_batch reduces
 its chunks to per-snapshot sums, trajectory.run_trajectories keeps every
-step of its blocks of requested indices.  prepare checks their inputs.
+step of its blocks of requested indices.  run_batch takes the checked
+ensemble.EnsembleConfig and integrate a checked trajectory.TrajectoryConfig,
+so neither repeats a check of its config; prepare checks the rest.
 integrate is the one step loop: it builds the block from psi0, draws each
 column's uniforms WINDOW steps at a time from that column's stream and
 takes every step through jump_step: Bernoulli jump with probability w dt
@@ -53,6 +55,7 @@ import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily: load it with qjump, not inside the first run
@@ -61,7 +64,10 @@ from . import _flow
 from .errors import DimensionMismatch, EmptyChannels, NegativeRate, StepTooLarge
 from .generator import GeneratorSpec
 from .linalg import as_state, normalize
-from .unraveling import RATE_CLAMP
+
+if TYPE_CHECKING:  # ensemble and trajectory import this module
+    from .ensemble import EnsembleConfig
+    from .trajectory import TrajectoryConfig
 
 CHUNK = 1024
 WINDOW = 64  # steps of uniforms a chunk holds at once: 1 MiB at CHUNK columns
@@ -69,6 +75,7 @@ JUMP_PROB_WARN = 0.1
 JUMP_PROB_MAX = 0.5
 NORM_DRIFT_MAX = 1e-3
 RATE_FLOOR_ABS = 1e-9
+JACKKNIFE_BLOCKS = 10
 
 # frames warn_jump_prob skips: this package's and single_blas_thread's contextlib wrapper
 _INSIDE = (os.path.dirname(__file__) + os.sep, contextlib.__file__)
@@ -211,7 +218,7 @@ def jump_step(
     order.
     """
     k1, rate = evaluation
-    j = _first(rate < -RATE_CLAMP)
+    j = _first(rate < -_flow.RATE_CLAMP)
     if j is not None:
         raise NegativeRate(f"{_where(indices[j], step + 1, dt)}: total decay rate {rate[j]:.3e} is negative beyond roundoff")
     rate = np.maximum(rate, 0.0)
@@ -256,21 +263,19 @@ Peak = tuple[float, int, int]
 
 
 def integrate(
-    flow: _flow.CompiledFlow,
-    psi0: np.ndarray,
-    seed: int,
-    indices: Sequence[int],
-    dt: float,
-    n_steps: int,
+    flow: _flow.CompiledFlow, psi0: np.ndarray, cfg: TrajectoryConfig, indices: Sequence[int]
 ) -> Iterator[tuple[int, np.ndarray, list[tuple[int, float, int]], Peak]]:
-    """Take a (d, len(indices)) block of copies of psi0 through n_steps steps of jump_step.
+    """Take a (d, len(indices)) block of copies of psi0 through the n_steps steps of jump_step.
 
-    Column j is trajectory indices[j] and draws two uniforms per step from
-    trajectory_rng(seed, indices[j]), WINDOW steps at a time.  Yields
-    (k, block, jumps, peak) for k = 0 ... n_steps: the state at t = k dt,
-    the jumps of the step that landed on it and the block's Peak so far.
+    cfg is the run's checked TrajectoryConfig, of which only the grid and
+    the seed are read.  Column j is trajectory indices[j] and draws two
+    uniforms per step from trajectory_rng(cfg.seed, indices[j]), WINDOW
+    steps at a time.  Yields (k, block, jumps, peak) for k = 0 ... n_steps:
+    the state at t = k dt, the jumps of the step that landed on it and the
+    block's Peak so far.
     """
-    streams = [trajectory_rng(seed, index) for index in indices]
+    dt, n_steps = cfg.dt, cfg.n_steps
+    streams = [trajectory_rng(cfg.seed, index) for index in indices]
     uniforms = np.empty((min(WINDOW, n_steps), 2, len(streams)), dtype=np.float64)
     psi = np.repeat(psi0[:, None], len(streams), axis=1)
     evaluation = _flow.rhs_block(flow, psi)
@@ -345,10 +350,8 @@ def resolve_threads(threads: int | None) -> int:
 
 @dataclass
 class BatchResult:
-    """Reduced per-snapshot sums over all trajectories."""
+    """Reduced per-snapshot sums over all trajectories, one snapshot per step of the config's snapshot_steps."""
 
-    n_trajectories: int
-    snapshot_steps: tuple[int, ...]
     block_counts: np.ndarray  # (n_blocks,) trajectories per jackknife block
     block_sums: np.ndarray  # (S, n_blocks, d, d) sums of projectors
     obs_sum: np.ndarray  # (S, K) sums of observable expectations
@@ -357,35 +360,25 @@ class BatchResult:
 
 
 @single_blas_thread()
-def run_batch(
-    spec: GeneratorSpec,
-    psi0: np.ndarray,
-    dt: float,
-    n_steps: int,
-    n_trajectories: int,
-    seed: int,
-    snapshot_steps: tuple[int, ...],
-    observables: tuple[np.ndarray, ...] = (),
-    n_blocks: int = 10,
-    threads: int = 1,
-) -> BatchResult:
-    """Run trajectories 0 ... n_trajectories - 1 from psi0 and reduce them at the snapshot steps.
+def run_batch(spec: GeneratorSpec, psi0: np.ndarray, cfg: EnsembleConfig, threads: int = 1) -> BatchResult:
+    """Run trajectories 0 ... cfg.n_trajectories - 1 from psi0 and reduce them at cfg.snapshot_steps.
 
-    Chunks sum squared deviations from their own mean and merge in chunk
-    order, so obs_sqdev keeps its digits when the spread is tiny next to the mean.
+    cfg is the checked EnsembleConfig: its snapshot steps are distinct
+    steps of its base's grid and it has at least one trajectory.  The
+    trajectories fall into min(JACKKNIFE_BLOCKS, n_trajectories) blocks
+    of consecutive indices, and the observables are those of cfg.base,
+    in its order.  Chunks sum squared deviations from their own mean and
+    merge in chunk order, so obs_sqdev keeps its digits when the spread
+    is tiny next to the mean.
     """
-    flow, psi0, obs_stack = prepare(spec, psi0, observables)
+    base = cfg.base
+    flow, psi0, obs_stack = prepare(spec, psi0, list(base.observables.values()))
     d = spec.dim
-    snaps = tuple(int(s) for s in snapshot_steps)
-    if any(not 0 <= s <= n_steps for s in snaps) or len(set(snaps)) != len(snaps):
-        raise ValueError(f"snapshot steps {snaps} must be unique integers in [0, {n_steps}]")
-    slot_of = {step: slot for slot, step in enumerate(snaps)}
-    n_snap = len(snaps)
-    n_obs = len(observables)
-    if n_trajectories < 1:
-        raise ValueError("need at least one trajectory")
-    if n_blocks < 1:
-        raise ValueError("need at least one block")
+    n_trajectories = cfg.n_trajectories
+    n_blocks = min(JACKKNIFE_BLOCKS, n_trajectories)
+    slot_of = {step: slot for slot, step in enumerate(cfg.snapshot_steps)}
+    n_snap = len(slot_of)
+    n_obs = len(base.observables)
 
     def block_of(index: np.ndarray) -> np.ndarray:
         return (index * n_blocks) // n_trajectories
@@ -409,7 +402,7 @@ def run_batch(
             osum[slot] = vals.sum(axis=0)
             osqdev[slot] = ((vals - osum[slot] / m) ** 2).sum(axis=0)
 
-        for k, psi, _, peak in integrate(flow, psi0, seed, range(lo, hi), dt, n_steps):
+        for k, psi, _, peak in integrate(flow, psi0, base, range(lo, hi)):
             slot = slot_of.get(k)
             if slot is not None:
                 accumulate(slot, psi)
@@ -436,11 +429,9 @@ def run_batch(
         obs_sum += osum
         obs_sqdev += osqdev
     return BatchResult(
-        n_trajectories=n_trajectories,
-        snapshot_steps=snaps,
         block_counts=np.bincount(block_of(np.arange(n_trajectories, dtype=np.int64)), minlength=n_blocks),
         block_sums=block_sums,
         obs_sum=obs_sum,
         obs_sqdev=obs_sqdev,
-        max_jump_prob=warn_jump_prob([part[3] for part in partials], dt),
+        max_jump_prob=warn_jump_prob([part[3] for part in partials], base.dt),
     )

@@ -45,6 +45,7 @@ from .generator import GeneratorSpec
 from .linalg import _fix_phases
 
 NEGATIVE_RATE_TOL = 1e-6
+RATE_CLAMP = 1e-10
 RATE_FLOOR_REL = 1e-12
 OVERLAP_TOL = 1e-6
 
@@ -52,7 +53,6 @@ OVERLAP_TOL = 1e-6
 @dataclass(eq=False)
 class CompiledFlow:
     dim: int
-    hbar: float
     stack: np.ndarray  # ((1 + n_active) * d, d): C on top, then the active couplings
     n_active: int
     gain: np.ndarray  # (n_active, n_active): (2/hbar^2) D restricted to active rows
@@ -82,7 +82,7 @@ def compile_flow(spec: GeneratorSpec) -> CompiledFlow:
                 cmat = cmat - (2j * ih2 * im_d[a, b]) * (ops[b] @ ops[a])
 
     stack = np.vstack([cmat, *ops])
-    return CompiledFlow(dim=d, hbar=hbar, stack=stack, n_active=ka, gain=(2.0 * ih2) * sub)
+    return CompiledFlow(dim=d, stack=stack, n_active=ka, gain=(2.0 * ih2) * sub)
 
 
 def rhs_block(cf: CompiledFlow, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,12 +16,14 @@ thread settings.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
-from ._flow import compile_flow, rhs_block
+from ._flow import channels_block, compile_flow, rhs_block
 from ._io import density_dump_lines, fmt, write_lines
 from .config import RunConfig, parse_config
 from .ensemble import (
@@ -44,13 +46,7 @@ from .oscillator import (
     random_truncation_safe_state,
 )
 from .trajectory import TrajectoryConfig, run_trajectories, write_event_log
-from .unraveling import (
-    RateReport,
-    jump_channels,
-    modified_rate_operator,
-    total_decay_rate,
-    transition_rate_operator,
-)
+from .unraveling import modified_rate_operator, total_decay_rate, transition_rate_operator
 
 VERIFY_TOL = 1e-8
 VERIFY_TIGHT = 1e-10
@@ -93,16 +89,22 @@ def _probe_states(cfg: RunConfig) -> list[np.ndarray]:
     return states
 
 
-def _reconstruction_defect(report: RateReport, wp_op: np.ndarray) -> float:
-    """Largest entry of |sum_n w_n |phi_n><phi_n| - W'|."""
-    recon = sum((ch.rate * outer(ch.target) for ch in report.channels), np.zeros_like(wp_op))
+def _reconstruction_defect(channels: Iterable[tuple[float, np.ndarray]], wp_op: np.ndarray) -> float:
+    """Largest entry of |sum_n w_n |phi_n><phi_n| - W'| over the (rate w_n, target phi_n) channels."""
+    recon = sum((rate * outer(target) for rate, target in channels), np.zeros_like(wp_op))
     return float(np.max(np.abs(recon - wp_op)))
 
 
-def _generic_defects(spec: GeneratorSpec, psi: np.ndarray, rhs: np.ndarray, flow_rate: float, w: float, wp_op: np.ndarray) -> dict[str, float]:
-    """The GENERIC_CHECKS values at one probe state: compiled flow rhs and rate, decay rate w, W' = wp_op."""
+def _generic_defects(
+    spec: GeneratorSpec, psi: np.ndarray, rhs: np.ndarray, flow_rate: float, channels: tuple[np.ndarray, np.ndarray], w: float, wp_op: np.ndarray
+) -> dict[str, float]:
+    """The GENERIC_CHECKS values at one probe state.
+
+    rhs, flow_rate and channels, as (rates, (d, k) targets), come from the
+    compiled flow, as the engines get them; w and W' = wp_op from the generator.
+    """
     low = lowest_eigenvalue(wp_op)
-    report = jump_channels(spec, psi)
+    rates, targets = channels
     return {
         "flow_norm_tangency": abs(2.0 * np.vdot(psi, rhs).real),
         "flow_decay_rate": abs(flow_rate - w) / max(1.0, w),
@@ -110,8 +112,8 @@ def _generic_defects(spec: GeneratorSpec, psi: np.ndarray, rhs: np.ndarray, flow
         "modified_rate_annihilates_state": float(np.linalg.norm(wp_op @ psi)),
         "modified_rate_trace_sum_rule": abs(float(np.trace(wp_op).real) - w),
         "modified_rate_positive": 0.0 if low >= 0.0 else -low,
-        "channel_rate_sum": abs(float(report.rates.sum()) - w),
-        "channel_reconstruction": _reconstruction_defect(report, wp_op),
+        "channel_rate_sum": abs(float(rates.sum()) - w),
+        "channel_reconstruction": _reconstruction_defect(zip(rates, targets.T), wp_op),
     }
 
 
@@ -125,7 +127,9 @@ def _oscillator_defects(
     hamiltonian_rhs = (-1j / params.hbar) * (frictional_hamiltonian(params, psi) @ psi - mean_h0 * psi)
     return {
         "closed_form_rate_operator": float(np.max(np.abs(closed_form_rate_operator(psi, params) - wp_op))),
-        "closed_form_channel_reconstruction": _reconstruction_defect(closed_form_channels(psi, params), wp_op),
+        "closed_form_channel_reconstruction": _reconstruction_defect(
+            ((ch.rate, ch.target) for ch in closed_form_channels(psi, params).channels), wp_op
+        ),
         "hasse_defect_rate_link": abs(w - 2.0 / params.hbar**2 * hasse_defect(psi, params)) / max(1.0, w),
         "reference_generator_agreement": float(
             np.max(np.abs(apply_generator(spec, rho) - generator_reference(params, rho)))
@@ -147,7 +151,8 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
         w = total_decay_rate(spec, psi)
         wp_op = modified_rate_operator(spec, psi)
         rhs, flow_rate = rhs_block(flow, psi[:, None])
-        generic.append(_generic_defects(spec, psi, rhs[:, 0], float(flow_rate[0]), w, wp_op))
+        channels = channels_block(flow, psi[:, None])[0]
+        generic.append(_generic_defects(spec, psi, rhs[:, 0], float(flow_rate[0]), channels, w, wp_op))
         if params is not None:
             oscillator.append(_oscillator_defects(spec, params, psi, rhs[:, 0], w, wp_op))
 
@@ -182,12 +187,10 @@ def cmd_trajectory(cfg: RunConfig) -> list[str]:
     written = []
     for idx, record in zip(cfg.trajectory_indices, records):
         names = list(record.observables)
-        lines = ["time" + "".join(f",{name}" for name in names)]
-        for i, t in enumerate(record.times):
-            row = fmt(t) + "".join(f",{fmt(record.observables[name][i])}" for name in names)
-            lines.append(row)
+        header = "time" + "".join(f",{name}" for name in names)
+        rows = (fmt(t) + "".join(f",{fmt(record.observables[name][i])}" for name in names) for i, t in enumerate(record.times))
         obs_path = os.path.join(cfg.out_dir, f"observables_{idx:05d}.csv")
-        write_lines(obs_path, lines)
+        write_lines(obs_path, itertools.chain([header], rows))
         jump_path = os.path.join(cfg.out_dir, f"jumps_{idx:05d}.csv")
         write_event_log(record, jump_path)
         written.extend([obs_path, jump_path])

@@ -10,7 +10,7 @@ error bar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,23 +25,27 @@ from .trajectory import TrajectoryConfig, grid_step
 TRACE_DRIFT_TOL = 1e-12
 HERMITICITY_DRIFT_TOL = 1e-12
 EIGENVALUE_ERROR_TOL = -1e-6
-JACKKNIFE_BLOCKS = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsembleConfig:
-    """Trajectory count, shared grid settings, and snapshot times."""
+    """Trajectory count, shared grid settings, snapshot times and their grid steps.
+
+    Frozen, like its base: _batch.run_batch repeats none of the checks made
+    here, so no field may change after them.
+    """
 
     n_trajectories: int
     base: TrajectoryConfig
     snapshot_times: tuple[float, ...]
+    snapshot_steps: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         # the range first, so that inf and nan fail it before int() could overflow
         if not (1 <= self.n_trajectories < np.inf and self.n_trajectories == self.n_trajectories // 1):
             raise ValueError(f"n_trajectories must be a positive integer, got {self.n_trajectories!r}")
-        self.n_trajectories = int(self.n_trajectories)
-        self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
+        object.__setattr__(self, "n_trajectories", int(self.n_trajectories))
+        object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
         if not self.snapshot_times:
             raise ValueError("need at least one snapshot time")
         steps = []
@@ -52,11 +56,7 @@ class EnsembleConfig:
             steps.append(k)
         if len(set(steps)) != len(steps):
             raise ValueError(f"snapshot times {self.snapshot_times} repeat a grid point")
-        self._snapshot_steps = tuple(steps)
-
-    @property
-    def snapshot_steps(self) -> tuple[int, ...]:
-        return self._snapshot_steps
+        object.__setattr__(self, "snapshot_steps", tuple(steps))
 
 
 @dataclass
@@ -147,9 +147,9 @@ def _jackknife_errors(
     oracle: np.ndarray,
 ) -> np.ndarray:
     """Delete-one-block jackknife standard error of each trace distance."""
-    n_snap, n_blocks = block_sums.shape[0], block_sums.shape[1]
+    n_snap = block_sums.shape[0]
     total_count = int(block_counts.sum())
-    live = [b for b in range(n_blocks) if block_counts[b] > 0]
+    live = [b for b in range(block_counts.size) if block_counts[b] > 0]
     errors = np.zeros(n_snap, dtype=np.float64)
     if len(live) < 2:
         return errors
@@ -181,21 +181,7 @@ def run_ensemble(
     """
     psi0 = normalize(as_state(psi0))
     base = cfg.base
-    names = list(base.observables)
-    mats = tuple(base.observables[name] for name in names)
-    n_blocks = min(JACKKNIFE_BLOCKS, cfg.n_trajectories)
-    batch = run_batch(
-        spec,
-        psi0,
-        base.dt,
-        base.n_steps,
-        cfg.n_trajectories,
-        base.seed,
-        cfg.snapshot_steps,
-        observables=mats,
-        n_blocks=n_blocks,
-        threads=threads,
-    )
+    batch = run_batch(spec, psi0, cfg, threads=threads)
     m = cfg.n_trajectories
     rho_mc = batch.block_sums.sum(axis=1) / m
     rho_oracle = master_evolve(spec, outer(psi0), base.dt, base.n_steps, cfg.snapshot_steps)
@@ -212,7 +198,7 @@ def run_ensemble(
         times=times,
         trace_distances=distances,
         stat_errors=stat_errors,
-        observable_names=names,
+        observable_names=list(base.observables),
         observable_means=means,
         observable_stderrs=stderrs,
         rho_mc=rho_mc,

@@ -21,9 +21,11 @@ case.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,14 +49,14 @@ def grid_step(t: float, dt: float) -> int | None:
     return k
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectoryConfig:
-    """Grid, RNG seed and observables shared by the trajectories of a run."""
+    """Grid, RNG seed and observables shared by the trajectories of a run; frozen once checked."""
 
     dt: float
     t_final: float
     seed: int
-    observables: dict[str, np.ndarray] = field(default_factory=dict)
+    observables: Mapping[str, np.ndarray] = field(default_factory=dict)  # read-only once checked
 
     def __post_init__(self) -> None:
         if not 0.0 < self.dt < math.inf:
@@ -66,11 +68,9 @@ class TrajectoryConfig:
         # the range first, so that inf and nan fail it before int() could overflow
         if not (0 <= self.seed < 2**64 and self.seed == self.seed // 1):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        self.seed = int(self.seed)
-        self.observables = {
-            name: require_hermitian(mat, name=f"observable {name!r}")
-            for name, mat in self.observables.items()
-        }
+        object.__setattr__(self, "seed", int(self.seed))
+        observables = {name: require_hermitian(mat, name=f"observable {name!r}") for name, mat in self.observables.items()}
+        object.__setattr__(self, "observables", MappingProxyType(observables))
 
     @property
     def n_steps(self) -> int:
@@ -131,7 +131,7 @@ def run_trajectories(
         chunk = indices[lo : lo + _batch.CHUNK]
         values = np.empty((len(chunk), len(names), n + 1), dtype=np.float64)
         events: list[list[JumpEvent]] = [[] for _ in chunk]
-        for k, block, fired, peak in _batch.integrate(flow, psi0, cfg.seed, chunk, cfg.dt, n):
+        for k, block, fired, peak in _batch.integrate(flow, psi0, cfg, chunk):
             for j, rate, chosen in fired:
                 events[j].append(JumpEvent(time=k * cfg.dt, channel_rate=rate, target_index=chosen))
             values[:, :, k] = _batch.expectations(obs_stack, block)
@@ -156,12 +156,6 @@ def write_event_log(record: TrajectoryRecord, path: str) -> None:
     selected channel's rate and index.
     """
     dt = float(record.times[1] - record.times[0])
-    by_step = {int(round(event.time / dt)): event for event in record.jumps}
-    lines = ["time,event_type,channel_rate,target_index"]
-    for i in range(1, record.times.shape[0]):
-        event = by_step.get(i)
-        if event is None:
-            lines.append(f"{fmt(record.times[i])},step,,")
-        else:
-            lines.append(f"{fmt(record.times[i])},jump,{fmt(event.channel_rate)},{event.target_index}")
-    write_lines(path, lines)
+    jumps = {round(event.time / dt): f",jump,{fmt(event.channel_rate)},{event.target_index}" for event in record.jumps}
+    rows = (fmt(record.times[i]) + jumps.get(i, ",step,,") for i in range(1, record.times.shape[0]))
+    write_lines(path, itertools.chain(["time,event_type,channel_rate,target_index"], rows))

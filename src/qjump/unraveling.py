@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._flow import NEGATIVE_RATE_TOL, OVERLAP_TOL, RATE_FLOOR_REL, channels_block, compile_flow
+from ._flow import NEGATIVE_RATE_TOL, OVERLAP_TOL, RATE_CLAMP, RATE_FLOOR_REL, channels_block, compile_flow
 from .errors import NegativeRate
 from .generator import GeneratorSpec, apply_generator
 from .linalg import as_state, eigh_phase_fixed, expectation, lowest_eigenvalue, outer
 
-RATE_CLAMP = 1e-10
 NORM_TOL = 1e-6
 
 

@@ -34,11 +34,14 @@ BLOCK_SUMS_DIGEST = """
 import hashlib
 import numpy as np
 from qjump._batch import CHUNK, run_batch
+from qjump.ensemble import EnsembleConfig
 from qjump.oscillator import OscillatorParams, oscillator_generator
+from qjump.trajectory import TrajectoryConfig
 spec = oscillator_generator(OscillatorParams(levels=40, d11=0.05, d22=0.5))
 psi0 = np.zeros(40, dtype=np.complex128)
 psi0[:2] = 1.0
-batch = run_batch(spec, psi0, 1e-3, 3, 2 * CHUNK, 7, snapshot_steps=(0, 3), threads=1)
+base = TrajectoryConfig(dt=1e-3, t_final=3e-3, seed=7)
+batch = run_batch(spec, psi0, EnsembleConfig(n_trajectories=2 * CHUNK, base=base, snapshot_times=(0.0, 3e-3)), threads=1)
 print(hashlib.sha256(batch.block_sums.tobytes()).hexdigest())
 """
 
@@ -72,7 +75,8 @@ def spy_rhs_block(monkeypatch, get):
 
 
 def flip_batch(**kwargs):
-    return run_batch(FLIP, E0_2, 1e-2, 20, 8, 3, snapshot_steps=(0, 20), **kwargs)
+    cfg = EnsembleConfig(n_trajectories=8, base=TrajectoryConfig(dt=1e-2, t_final=0.2, seed=3), snapshot_times=(0.0, 0.2))
+    return run_batch(FLIP, E0_2, cfg, **kwargs)
 
 
 def test_block_sums_bytes_do_not_depend_on_blas_threads():
@@ -115,7 +119,8 @@ def test_blas_count_restored_after_error_in_a_chunk(monkeypatch, blas, threads):
     monkeypatch.setattr(_batch, "CHUNK", 4)
     # the flip model decays at rate 1, so dt = 1 is a jump probability of 1 per step
     with pytest.raises(StepTooLarge):
-        run_batch(FLIP, E0_2, 1.0, 3, 8, 3, snapshot_steps=(3,), threads=threads)
+        base = TrajectoryConfig(dt=1.0, t_final=3.0, seed=3)
+        run_batch(FLIP, E0_2, EnsembleConfig(n_trajectories=8, base=base, snapshot_times=(3.0,)), threads=threads)
     assert blas() == 2
 
 

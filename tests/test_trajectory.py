@@ -42,6 +42,11 @@ def flip_config(dt=1e-3, t_final=1.0, seed=42):
     return TrajectoryConfig(dt=dt, t_final=t_final, seed=seed)
 
 
+def flip_ensemble(n_trajectories, dt, t_final, seed=3):
+    """A flip-model ensemble of n_trajectories on the grid of flip_config, with one snapshot at t_final."""
+    return EnsembleConfig(n_trajectories=n_trajectories, base=flip_config(dt, t_final, seed), snapshot_times=(t_final,))
+
+
 def policy_step(spec, psi, dt, u, step=0, first=0):
     """One step of the shared jump policy on a (d, M) block: (next block, largest probability, jumps)."""
     flow = compile_flow(spec)
@@ -199,7 +204,7 @@ def test_trajectory_warns_once_per_run():
 def test_batch_warns_once_per_run(monkeypatch, threads):
     monkeypatch.setattr(_batch, "CHUNK", 4)
     result, n_warnings = count_warnings(
-        lambda: run_batch(FLIP, E0_2, 0.2, 5, 8, 3, snapshot_steps=(5,), threads=threads)
+        lambda: run_batch(FLIP, E0_2, flip_ensemble(8, dt=0.2, t_final=1.0), threads=threads)
     )
     assert result.max_jump_prob == pytest.approx(0.2)
     assert n_warnings == 1
@@ -221,7 +226,7 @@ def test_batch_warning_names_the_trajectory_and_time(monkeypatch, threads):
     monkeypatch.setattr(_flow, "rhs_block", fake)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = run_batch(FLIP, E0_2, 0.05, 5, 7, 3, snapshot_steps=(5,), threads=threads)
+        result = run_batch(FLIP, E0_2, flip_ensemble(7, dt=0.05, t_final=0.25), threads=threads)
     messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
     assert len(messages) == 1
     assert messages[0].startswith("trajectory 5 at t=0.05: jump probability 0.150 per step exceeds 0.1")
@@ -233,7 +238,7 @@ def test_jump_probability_warning_points_at_the_caller(entry):
     # the flip model's rate is 1 everywhere, so every step of 0.2 is above the threshold
     cfg = flip_config(dt=0.2, t_final=1.0)
     calls = {
-        "run_batch": lambda: run_batch(FLIP, E0_2, 0.2, 5, 8, 3, snapshot_steps=(5,)),
+        "run_batch": lambda: run_batch(FLIP, E0_2, flip_ensemble(8, dt=0.2, t_final=1.0)),
         "run_ensemble": lambda: run_ensemble(FLIP, E0_2, EnsembleConfig(n_trajectories=8, base=cfg, snapshot_times=(1.0,))),
         "run_trajectories": lambda: run_trajectories(FLIP, E0_2, cfg, (0, 1)),
         "run_trajectory": lambda: run_trajectory(FLIP, E0_2, cfg),
@@ -305,7 +310,7 @@ def first_jump():
 def run_located(monkeypatch, error):
     monkeypatch.setattr(_batch, "CHUNK", 4)
     with pytest.raises(error) as info:
-        run_batch(FLIP, E0_2, LOC_DT, LOC_STEPS, 8, LOC_SEED, snapshot_steps=(LOC_STEPS,), threads=1)
+        run_batch(FLIP, E0_2, flip_ensemble(8, dt=LOC_DT, t_final=LOC_DT * LOC_STEPS, seed=LOC_SEED), threads=1)
     return str(info.value)
 
 
