@@ -1,9 +1,11 @@
 """Vectorized multi-trajectory engine and the one step policy it shares.
 
-Evolves many trajectories of one generator at once, holding the states
-as columns of a (d, M) block so each Runge-Kutta stage is a single
-stacked matrix product.  Trajectories are processed in fixed chunks of
-CHUNK columns; worker threads may run chunks concurrently, but partial
+Evolves many trajectories of one generator at once.  A block of
+trajectories is held as its distinct states, the columns of a (d, S)
+block, and an owner map that gives each trajectory its state, so each
+Runge-Kutta stage is a single stacked matrix product over the distinct
+states only.  Trajectories are processed in fixed chunks of CHUNK
+trajectories; worker threads may run chunks concurrently, but partial
 results are reduced strictly in chunk order, and every trajectory owns a
 Philox stream keyed by (seed, trajectory_index) with two uniforms per
 step.  Output bytes therefore do not depend on the thread count.  CHUNK
@@ -18,20 +20,27 @@ its chunks to per-snapshot sums, trajectory.run_trajectories keeps every
 step of its blocks of requested indices.  run_batch takes the checked
 ensemble.EnsembleConfig and integrate a checked trajectory.TrajectoryConfig,
 so neither repeats a check of its config; prepare checks the rest.
-integrate is the one step loop: it builds the block from psi0, draws each
-column's uniforms WINDOW steps at a time from that column's stream and
-takes every step through jump_step: Bernoulli jump with probability w dt
-decided by the first uniform, channel selection by cumulative scan with
-the second, jump replacing the whole step.  The flow evaluation of a
-state, carried into the next step, gives both w and the first
-Runge-Kutta stage; the channels of all of a step's jumping columns come
-from one stacked _flow.channels_block call.  jump_step is also the one
-judge of a step, and judges only the steps a column keeps.  A column's
-jump decisions and verdicts depend only on its stream and its own state,
-never on which columns share its block; its last bits may, since BLAS
-sums a block of several columns in another order than a single one.
-expectations gives both drivers' observable values, and warn_jump_prob
-their one warning when a step's jump probability passed JUMP_PROB_WARN.
+integrate is the one step loop: it starts every trajectory on one shared
+psi0, draws each trajectory's uniforms WINDOW steps at a time from its
+stream and takes every step through jump_step: Bernoulli jump with
+probability w dt decided by the first uniform, channel selection by
+cumulative scan with the second, jump replacing the whole step.
+Trajectories share a state until a jump of their own separates them: the
+ones that jump from one state through one channel on one step share the
+new state, so there are never more states than trajectories.  The flow
+evaluation of a state, carried into the next step, gives both w and the
+first Runge-Kutta stage; it, the Runge-Kutta step and the norm drift are
+computed once per state however many trajectories hold it, and the
+channels once per state that some trajectory jumps from, in one stacked
+_flow.channels_block call.  jump_step is also the one judge of a step,
+and judges only the states that some trajectory keeps.  Each trajectory
+still decides with its own uniforms, and its jump decisions and verdicts
+depend only on its stream and its own state, never on which trajectories
+share its chunk or its state; its last bits may, since BLAS sums a block
+of several states in another order than a single one.  expectations
+gives both drivers' observable values, once per state, and
+warn_jump_prob their one warning when a step's jump probability passed
+JUMP_PROB_WARN.
 
 The worker threads are the engine's only parallelism.  For the duration
 of run_batch (and of ensemble.run_ensemble, which includes the oracle
@@ -187,75 +196,115 @@ def _where(index: int, k: int, dt: float) -> str:
 
 
 def _first(mask: np.ndarray) -> int | None:
-    """Column of mask's first True, or None: one argmax, cheaper per step than flatnonzero or any."""
+    """Position of mask's first True, or None: one argmax, cheaper per step than flatnonzero or any."""
     j = int(mask.argmax())
     return j if mask[j] else None
 
 
+def _first_owner(flagged: np.ndarray, owner: np.ndarray) -> int | None:
+    """First column whose state is flagged, or None; reads the columns only when some state is."""
+    if _first(flagged) is None:
+        return None
+    return _first(flagged[owner])
+
+
 def jump_step(
     flow: _flow.CompiledFlow,
-    psi: np.ndarray,
+    states: np.ndarray,
+    owner: np.ndarray,
     evaluation: tuple[np.ndarray, np.ndarray],
     dt: float,
     u: np.ndarray,
     step: int,
     indices: Sequence[int],
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple[float, int], list[tuple[int, float, int]]]:
-    """One step of the jump policy for every column of the (d, M) block psi.
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], tuple[float, int], list[tuple[int, float, int]]]:
+    """One step of the jump policy for every column of a block of shared states.
 
-    evaluation is _flow.rhs_block(flow, psi): the flow rhs and the decay
-    rate w at psi.  It supplies both the jump probability w dt and the
-    first Runge-Kutta stage, so each state is evaluated once.
-    Column j is trajectory indices[j], u[:, j] is its pair of uniforms for
-    this step and the step lands on t = (step + 1) dt; errors name both.
-    A column jumps when u[0, j] < w dt; the jump replaces the whole step
-    with the channel that u[1, j] selects.  Every other column takes the
-    Runge-Kutta step, and only those steps are held to NORM_DRIFT_MAX.
+    Column j is trajectory indices[j] and holds the state states[:, owner[j]]
+    of the (d, S) block states; every state is held by some column.
+    evaluation is _flow.rhs_block(flow, states): the flow rhs and the decay
+    rate w of each state.  It supplies both the jump probability w dt and
+    the first Runge-Kutta stage, so each state is evaluated once however
+    many columns hold it.  u[:, j] is column j's pair of uniforms for this
+    step and the step lands on t = (step + 1) dt; errors name both, for
+    the first column in column order whose own state fails a check.
+    Column j jumps when u[0, j] < w dt; the jump replaces the whole step
+    with the channel that u[1, j] selects.  The channels are found once
+    per state that a column jumps from, and the columns that jump from one
+    state through one channel share one new state.  A state that some
+    column keeps takes the Runge-Kutta step once, and only those steps are
+    held to NORM_DRIFT_MAX; a state that no column keeps is dropped.
 
-    Returns the next block, its evaluation, the step's largest jump
-    probability with the trajectory index of the first column to reach
-    it, and the jumps as (column, channel rate, channel index) in column
-    order.
+    Returns the next block of states, the owner of each column in it, its
+    evaluation, the step's largest jump probability with the trajectory
+    index of the first column to reach it, and the jumps as (column,
+    channel rate, channel index) in column order.
     """
     k1, rate = evaluation
-    j = _first(rate < -_flow.RATE_CLAMP)
+    j = _first_owner(rate < -_flow.RATE_CLAMP, owner)
     if j is not None:
-        raise NegativeRate(f"{_where(indices[j], step + 1, dt)}: total decay rate {rate[j]:.3e} is negative beyond roundoff")
+        raise NegativeRate(
+            f"{_where(indices[j], step + 1, dt)}: total decay rate {rate[owner[j]]:.3e} is negative beyond roundoff"
+        )
     rate = np.maximum(rate, 0.0)
     prob = rate * dt
     # a negated in-bounds test, so that a NaN or inf probability fails it too
-    j = _first(~(prob <= JUMP_PROB_MAX))
+    j = _first_owner(~(prob <= JUMP_PROB_MAX), owner)
     if j is not None:
         raise StepTooLarge(
-            f"{_where(indices[j], step + 1, dt)}: jump probability {prob[j]:.3f} per step exceeds {JUMP_PROB_MAX}; reduce dt"
+            f"{_where(indices[j], step + 1, dt)}: jump probability {prob[owner[j]]:.3f} per step exceeds {JUMP_PROB_MAX}; reduce dt"
         )
+    column_prob = prob[owner]
+    highest = int(column_prob.argmax())
+    fires = u[0] < column_prob
     jumps: list[tuple[int, float, int]] = []
-    targets: dict[int, np.ndarray] = {}
-    fires = u[0] < prob
+    targets: list[np.ndarray] = []
+    slot_of: dict[tuple[int, int], int] = {}  # (source, channel) -> position in targets
+    slots: list[int] = []  # position in targets of each jump's target
     if _first(fires) is not None:
         jumping = np.flatnonzero(fires)
-        for j, (rates, channels) in zip(jumping.tolist(), _flow.channels_block(flow, psi[:, jumping])):
+        sources, which = np.unique(owner[jumping], return_inverse=True)
+        found = _flow.channels_block(flow, states[:, sources])
+        for j, n in zip(jumping.tolist(), which.tolist()):
+            rates, channels = found[n]
             if rates.size == 0:
-                if rate[j] > RATE_FLOOR_ABS:
+                if rate[sources[n]] > RATE_FLOOR_ABS:
                     raise EmptyChannels(
-                        f"{_where(indices[j], step + 1, dt)}: decay rate {rate[j]:.3e} but every channel was filtered out"
+                        f"{_where(indices[j], step + 1, dt)}: decay rate {rate[sources[n]]:.3e} but every channel was filtered out"
                     )
                 continue
             chosen = select_channel(rates, float(u[1, j]))
             jumps.append((j, float(rates[chosen]), chosen))
-            targets[j] = channels[:, chosen]
-    psi_next, drift = _flow.rk4_step_block(flow, psi, dt, k1=k1)
-    for j, target in targets.items():
-        psi_next[:, j] = target
-        drift[j] = 0.0
-    # negated as above, so that a non-finite column fails too
-    j = _first(~(drift <= NORM_DRIFT_MAX))
+            slot = slot_of.setdefault((n, chosen), len(targets))
+            if slot == len(targets):
+                targets.append(channels[:, chosen])
+            slots.append(slot)
+    if jumps:
+        moved = [j for j, _, _ in jumps]
+        stays = np.ones(owner.size, dtype=bool)
+        stays[moved] = False
+        kept = np.zeros(states.shape[1], dtype=bool)
+        kept[owner[stays]] = True
+        keep = np.flatnonzero(kept)
+        # the kept states, in their order, then the targets
+        owner = np.cumsum(kept)[owner] - 1
+        owner[moved] = keep.size + np.asarray(slots)
+        if keep.size:
+            flowed, drift = _flow.rk4_step_block(flow, states[:, keep], dt, k1=k1[:, keep])
+        else:
+            # every column jumped: no state takes the step, and rhs_block takes no empty block
+            flowed, drift = states[:, :0], np.zeros(0)
+        states = np.concatenate([flowed, np.stack(targets, axis=1)], axis=1)
+        drift = np.concatenate([drift, np.zeros(len(targets))])
+    else:
+        states, drift = _flow.rk4_step_block(flow, states, dt, k1=k1)
+    # negated as above, so that a non-finite state fails too
+    j = _first_owner(~(drift <= NORM_DRIFT_MAX), owner)
     if j is not None:
         raise StepTooLarge(
-            f"{_where(indices[j], step + 1, dt)}: pre-renormalization norm drifted by {drift[j]:.3e} > {NORM_DRIFT_MAX:.1e}; reduce dt"
+            f"{_where(indices[j], step + 1, dt)}: pre-renormalization norm drifted by {drift[owner[j]]:.3e} > {NORM_DRIFT_MAX:.1e}; reduce dt"
         )
-    j = int(prob.argmax())
-    return psi_next, _flow.rhs_block(flow, psi_next), (float(prob[j]), indices[j]), jumps
+    return states, owner, _flow.rhs_block(flow, states), (float(column_prob[highest]), indices[highest]), jumps
 
 
 # (jump probability, trajectory index, k) of the first step to reach a run's largest probability
@@ -264,33 +313,39 @@ Peak = tuple[float, int, int]
 
 def integrate(
     flow: _flow.CompiledFlow, psi0: np.ndarray, cfg: TrajectoryConfig, indices: Sequence[int]
-) -> Iterator[tuple[int, np.ndarray, list[tuple[int, float, int]], Peak]]:
-    """Take a (d, len(indices)) block of copies of psi0 through the n_steps steps of jump_step.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, list[tuple[int, float, int]], Peak]]:
+    """Take len(indices) trajectories from psi0 through the n_steps steps of jump_step.
 
     cfg is the run's checked TrajectoryConfig, of which only the grid and
     the seed are read.  Column j is trajectory indices[j] and draws two
     uniforms per step from trajectory_rng(cfg.seed, indices[j]), WINDOW
-    steps at a time.  Yields (k, block, jumps, peak) for k = 0 ... n_steps:
-    the state at t = k dt, the jumps of the step that landed on it and the
-    block's Peak so far.
+    steps at a time.  Every column starts on one shared copy of psi0 and
+    shares its state with the columns that have made the same jumps so far,
+    until a jump of its own separates it.  Yields (k, states, owner, jumps,
+    peak) for k = 0 ... n_steps: the (d, S) block of distinct states at
+    t = k dt, in which column j holds states[:, owner[j]], the jumps of the
+    step that landed on it and the columns' Peak so far.
     """
     dt, n_steps = cfg.dt, cfg.n_steps
     streams = [trajectory_rng(cfg.seed, index) for index in indices]
     uniforms = np.empty((min(WINDOW, n_steps), 2, len(streams)), dtype=np.float64)
-    psi = np.repeat(psi0[:, None], len(streams), axis=1)
-    evaluation = _flow.rhs_block(flow, psi)
+    states = psi0[:, None]
+    owner = np.zeros(len(streams), dtype=np.intp)
+    evaluation = _flow.rhs_block(flow, states)
     peak: Peak = (0.0, indices[0], 0)
-    yield 0, psi, [], peak
+    yield 0, states, owner, [], peak
     for i in range(n_steps):
         row = i % WINDOW
         if row == 0:
             rows = min(WINDOW, n_steps - i)
             for j, stream in enumerate(streams):
                 uniforms[:rows, :, j] = stream.random((rows, 2))
-        psi, evaluation, (prob, index), jumps = jump_step(flow, psi, evaluation, dt, uniforms[row], i, indices)
+        states, owner, evaluation, (prob, index), jumps = jump_step(
+            flow, states, owner, evaluation, dt, uniforms[row], i, indices
+        )
         if prob > peak[0]:
             peak = (prob, index, i + 1)
-        yield i + 1, psi, jumps, peak
+        yield i + 1, states, owner, jumps, peak
 
 
 def warn_jump_prob(peaks: Iterable[Peak], dt: float) -> float:
@@ -394,18 +449,19 @@ def run_batch(spec: GeneratorSpec, psi0: np.ndarray, cfg: EnsembleConfig, thread
         osum = np.zeros((n_snap, n_obs), dtype=np.float64)
         osqdev = np.zeros((n_snap, n_obs), dtype=np.float64)
 
-        def accumulate(slot: int, states: np.ndarray) -> None:
+        def accumulate(slot: int, states: np.ndarray, owner: np.ndarray) -> None:
+            # each state's projector once, weighted by the columns of the block that hold it
             for block, c0, c1 in ranges:
-                cols = states[:, c0:c1]
-                sums[slot, block] += cols @ cols.conj().T
-            vals = expectations(obs_stack, states)
+                counts = np.bincount(owner[c0:c1], minlength=states.shape[1])
+                sums[slot, block] += (states * counts) @ states.conj().T
+            vals = expectations(obs_stack, states)[owner]
             osum[slot] = vals.sum(axis=0)
             osqdev[slot] = ((vals - osum[slot] / m) ** 2).sum(axis=0)
 
-        for k, psi, _, peak in integrate(flow, psi0, base, range(lo, hi)):
+        for k, states, owner, _, peak in integrate(flow, psi0, base, range(lo, hi)):
             slot = slot_of.get(k)
             if slot is not None:
-                accumulate(slot, psi)
+                accumulate(slot, states, owner)
         return sums, osum, osqdev, peak
 
     bounds = [(lo, min(lo + CHUNK, n_trajectories)) for lo in range(0, n_trajectories, CHUNK)]

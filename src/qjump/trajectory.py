@@ -9,14 +9,15 @@ random stream is a counter-based Philox generator keyed by
 ensemble can be reproduced in isolation and ensembles need no
 coordination between trajectories.
 
-run_trajectories steps its trajectory indices as the columns of one
-block, up to _batch.CHUNK at a time, through _batch.integrate, the step
-loop the ensemble engine uses, after the same input checks
-(_batch.prepare); it keeps every step's observables (_batch.expectations)
-and the jump events, and warns as the ensemble engine does.  Trajectory
-j therefore makes the same jump decisions whether it runs alone, next to
-other indices or inside an ensemble.  run_trajectory is the one-index
-case.
+run_trajectories steps its trajectory indices, up to _batch.CHUNK at a
+time, through _batch.integrate, the step loop the ensemble engine uses,
+after the same input checks (_batch.prepare); it keeps every step's
+observables (_batch.expectations) and the jump events, and warns as the
+ensemble engine does.  The indices start on one shared state and share it
+until a jump of their own separates them, but each decides with its own
+uniforms and is judged on its own state.  Trajectory j therefore makes
+the same jump decisions whether it runs alone, next to other indices or
+inside an ensemble.  run_trajectory is the one-index case.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ def run_trajectories(
 ) -> list[TrajectoryRecord]:
     """Evolve the trajectories indices on the configured grid, one record per index.
 
-    The indices are integrated as the columns of blocks of up to
-    _batch.CHUNK, so an error in any column stops the whole run.
+    The indices are integrated in blocks of up to _batch.CHUNK, so an
+    error in any trajectory stops the whole run.
     Identical inputs give bitwise-identical records: each stream is fixed
     by (seed, index) with exactly two uniforms consumed per step whether
     or not a jump fires.
@@ -131,13 +132,14 @@ def run_trajectories(
         chunk = indices[lo : lo + _batch.CHUNK]
         values = np.empty((len(chunk), len(names), n + 1), dtype=np.float64)
         events: list[list[JumpEvent]] = [[] for _ in chunk]
-        for k, block, fired, peak in _batch.integrate(flow, psi0, cfg, chunk):
+        for k, states, owner, fired, peak in _batch.integrate(flow, psi0, cfg, chunk):
             for j, rate, chosen in fired:
                 events[j].append(JumpEvent(time=k * cfg.dt, channel_rate=rate, target_index=chosen))
-            values[:, :, k] = _batch.expectations(obs_stack, block)
+            values[:, :, k] = _batch.expectations(obs_stack, states)[owner]
         peaks.append(peak)
+        finals = states[:, owner]
         records += [
-            TrajectoryRecord(times=times, observables=dict(zip(names, values[j])), jumps=events[j], final_state=block[:, j])
+            TrajectoryRecord(times=times, observables=dict(zip(names, values[j])), jumps=events[j], final_state=finals[:, j])
             for j in range(len(chunk))
         ]
     _batch.warn_jump_prob(peaks, cfg.dt)

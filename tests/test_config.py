@@ -1,5 +1,7 @@
 """Configuration parsing and validation, including line-numbered errors."""
 
+import pathlib
+import re
 import textwrap
 
 import numpy as np
@@ -391,3 +393,13 @@ def test_overrides():
     assert cfg.seed == 42  # original untouched
     with pytest.raises(ValidationError):
         cfg.with_overrides(seed=-1)
+
+
+def test_readme_config_example_parses():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (text,) = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    cfg = parse_config(text)
+    assert cfg.generator.dim == 20
+    assert list(cfg.observables) == ["x", "p", "number", "H0"]
+    assert cfg.snapshot_times == (0.25, 0.5, 1.0)
+    assert cfg.trajectory_indices == (0, 1, 2)

@@ -37,6 +37,15 @@ OSC = oscillator_generator(OscillatorParams(levels=20, d22=0.5))
 
 E0_2 = np.array([1.0, 0.0], dtype=np.complex128)
 
+# Three levels: |0> decays into |1> at rate 1/2 and into |2> at rate 1, each
+# of |1> and |2> back into |0>, and the flow leaves every basis state where
+# it is.  From |0> the channels in ascending rate are |1> and |2>, so a
+# second uniform below 1/3 selects |1> and one above it |2>.
+A01 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=np.complex128)
+A02 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], dtype=np.complex128)
+VEE = GeneratorSpec(hamiltonian=np.zeros((3, 3)), couplings=(A01, A02), coeff=[[0.25, 0.0], [0.0, 0.5]])
+VEE0 = np.eye(3, dtype=np.complex128)[0]
+
 
 def flip_config(dt=1e-3, t_final=1.0, seed=42):
     return TrajectoryConfig(dt=dt, t_final=t_final, seed=seed)
@@ -48,11 +57,16 @@ def flip_ensemble(n_trajectories, dt, t_final, seed=3):
 
 
 def policy_step(spec, psi, dt, u, step=0, first=0):
-    """One step of the shared jump policy on a (d, M) block: (next block, largest probability, jumps)."""
+    """One step of the shared jump policy, column j of the (d, M) block psi holding its own state.
+
+    Returns (next block, one column per trajectory; largest probability; jumps).
+    """
     flow = compile_flow(spec)
-    evaluation = rhs_block(flow, psi)
-    psi_next, _, (prob, _), jumps = jump_step(flow, psi, evaluation, dt, u, step, range(first, first + psi.shape[1]))
-    return psi_next, prob, jumps
+    owner = np.arange(psi.shape[1])
+    states, owner, _, (prob, _), jumps = jump_step(
+        flow, psi, owner, rhs_block(flow, psi), dt, u, step, range(first, first + psi.shape[1])
+    )
+    return states[:, owner], prob, jumps
 
 
 def step_once(spec, psi, dt, u1, u2):
@@ -61,14 +75,28 @@ def step_once(spec, psi, dt, u1, u2):
     return psi_next[:, 0], prob, jumps
 
 
+def scripted_uniforms(monkeypatch, script, rest=(0.99, 0.5)):
+    """Make trajectory index draw the pairs script[index] on its first steps, then rest on every later step."""
+
+    class Scripted:
+        def __init__(self, rows):
+            self.rows = np.asarray(rows, dtype=np.float64).reshape(-1, 2)
+            self.step = 0
+
+        def random(self, shape):
+            out = np.empty(shape)
+            out[:] = rest
+            head = self.rows[self.step : self.step + shape[0]]
+            out[: len(head)] = head
+            self.step += shape[0]
+            return out
+
+    monkeypatch.setattr(_batch, "trajectory_rng", lambda seed, index: Scripted(script.get(index, ())))
+
+
 def forced_uniforms(monkeypatch, u1, u2):
     """Make run_trajectory draw the pair (u1, u2) on every step."""
-
-    class Fixed:
-        def random(self, shape):
-            return np.broadcast_to([u1, u2], shape)
-
-    monkeypatch.setattr(_batch, "trajectory_rng", lambda seed, index: Fixed())
+    scripted_uniforms(monkeypatch, {}, rest=(u1, u2))
 
 
 def test_config_validation():
@@ -210,26 +238,33 @@ def test_batch_warns_once_per_run(monkeypatch, threads):
     assert n_warnings == 1
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_batch_warning_names_the_trajectory_and_time(monkeypatch, threads):
-    # chunks of 4 over 7 trajectories; column 1 of each chunk is pushed
-    # above the threshold, column 1 of the 3-column chunk (index 5) highest
-    monkeypatch.setattr(_batch, "CHUNK", 4)
+def rate_by_level(monkeypatch, rates):
+    """Make the flow report rate rates[n] for every state that has reached level n."""
     real = _flow.rhs_block
 
     def fake(flow, psi):
         rhs, rate = real(flow, psi)
-        rate = rate.copy()
-        rate[1] = 3.0 if psi.shape[1] == 3 else 2.5
+        for level, value in rates.items():
+            rate = np.where(np.abs(psi[level]) > 0.5, value, rate)
         return rhs, rate
 
     monkeypatch.setattr(_flow, "rhs_block", fake)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batch_warning_names_the_trajectory_and_time(monkeypatch, threads):
+    # chunks of 4 over 7 trajectories; column 1 of each chunk jumps on its
+    # first step to its own state above the threshold, and column 1 of the
+    # 3-column chunk (index 5) to the highest
+    monkeypatch.setattr(_batch, "CHUNK", 4)
+    scripted_uniforms(monkeypatch, {1: [(0.0, 0.2)], 5: [(0.0, 0.9)]})
+    rate_by_level(monkeypatch, {1: 2.5, 2: 3.0})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = run_batch(FLIP, E0_2, flip_ensemble(7, dt=0.05, t_final=0.25), threads=threads)
+        result = run_batch(VEE, VEE0, flip_ensemble(7, dt=0.05, t_final=0.25), threads=threads)
     messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
     assert len(messages) == 1
-    assert messages[0].startswith("trajectory 5 at t=0.05: jump probability 0.150 per step exceeds 0.1")
+    assert messages[0].startswith("trajectory 5 at t=0.1: jump probability 0.150 per step exceeds 0.1")
     assert result.max_jump_prob == pytest.approx(0.15)
 
 
@@ -431,7 +466,6 @@ def test_block_of_indices_matches_each_index_alone():
 # |1> drifts off unit norm.  Under seed 6 trajectory 0 reaches |1> at t=0.2
 # and jumps back on the next step, so it never keeps a drifting step, and
 # trajectory 5 stays in |0>.
-A01 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=np.complex128)
 H12 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 40.0], [0.0, 40.0, 0.0]], dtype=np.complex128)
 TRIO = GeneratorSpec(hamiltonian=H12, couplings=(A01,), coeff=[[0.5]])
 TRIO_CONFIG = """
@@ -494,6 +528,104 @@ def test_block_jumps_do_not_depend_on_the_chunk(monkeypatch):
     assert [jump_list(record) for record in run_trajectories(OSC, psi0, cfg, BLOCK_INDICES)] == whole
 
 
+def vee_config():
+    return TrajectoryConfig(dt=0.05, t_final=0.25, seed=0, observables={"p2": np.diag([0.0, 0.0, 1.0])})
+
+
+def assert_each_index_alone(spec, psi0, cfg, indices):
+    """The records of indices as one block equal those of each index run alone; returns the block's."""
+    records = run_trajectories(spec, psi0, cfg, indices)
+    for index, record in zip(indices, records):
+        alone = run_trajectory(spec, psi0, cfg, index)
+        assert jump_list(record) == jump_list(alone)
+        np.testing.assert_allclose(record.observables["p2"], alone.observables["p2"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.final_state, alone.final_state, rtol=0, atol=1e-12)
+    return records
+
+
+def test_a_step_in_which_every_column_jumps(monkeypatch):
+    # every column jumps on step 0 from the one shared |0> into one shared
+    # |1>; on step 2 indices 0 and 1 jump from |1> and index 2 from |0>, so
+    # no column keeps a state for the Runge-Kutta step
+    scripted_uniforms(
+        monkeypatch,
+        {
+            0: [(0.0, 0.2), (0.99, 0.5), (0.0, 0.5)],
+            1: [(0.0, 0.2), (0.99, 0.5), (0.0, 0.5)],
+            2: [(0.0, 0.2), (0.0, 0.5), (0.0, 0.9)],
+        },
+    )
+    records = assert_each_index_alone(VEE, VEE0, vee_config(), (0, 1, 2))
+    at = [pytest.approx(k * 0.05) for k in range(4)]
+    assert [jump_list(record) for record in records] == [
+        [(at[1], 0), (at[3], 0)],
+        [(at[1], 0), (at[3], 0)],
+        [(at[1], 0), (at[2], 0), (at[3], 1)],
+    ]
+    flow = compile_flow(VEE)
+    states = VEE0[:, None]
+    states, owner, _, _, jumps = jump_step(
+        flow, states, np.zeros(3, dtype=np.intp), rhs_block(flow, states), 0.05, np.zeros((2, 3)), 0, range(3)
+    )
+    assert [(j, chosen) for j, _, chosen in jumps] == [(0, 0), (1, 0), (2, 0)]
+    np.testing.assert_array_equal(states, np.eye(3, dtype=np.complex128)[:, [1]])
+    np.testing.assert_array_equal(owner, [0, 0, 0])
+
+
+@pytest.mark.parametrize("u2, channels", [((0.2, 0.25), (0, 0)), ((0.2, 0.9), (0, 1))])
+def test_columns_that_jump_from_one_state_share_a_target_only_through_one_channel(monkeypatch, u2, channels):
+    # indices 0 and 1 jump from the shared |0> on step 0; index 2 stays there
+    flow = compile_flow(VEE)
+    states = VEE0[:, None]
+    u = np.array([[0.0, 0.0, 0.99], [u2[0], u2[1], 0.5]])
+    states, owner, _, _, jumps = jump_step(
+        flow, states, np.zeros(3, dtype=np.intp), rhs_block(flow, states), 0.05, u, 0, range(3)
+    )
+    assert [(j, chosen) for j, _, chosen in jumps] == [(0, channels[0]), (1, channels[1])]
+    assert states.shape[1] == 1 + len(set(channels))
+    assert (owner[0] == owner[1]) == (channels[0] == channels[1])
+    np.testing.assert_array_equal(states[:, owner[2]], VEE0)
+    for j, chosen in zip((0, 1), channels):
+        np.testing.assert_array_equal(states[:, owner[j]], np.eye(3, dtype=np.complex128)[1 + chosen])
+    scripted_uniforms(monkeypatch, {0: [(0.0, u2[0])], 1: [(0.0, u2[1])]})
+    records = assert_each_index_alone(VEE, VEE0, vee_config(), (0, 1, 2))
+    at = pytest.approx(0.05)
+    assert [jump_list(record) for record in records] == [[(at, channels[0])], [(at, channels[1])], []]
+
+
+def test_each_distinct_state_takes_the_flow_step_once(monkeypatch):
+    # from one psi0, a state exists per (step, source, channel) of a jump
+    # made so far, plus psi0's own branch, and never more than one per column
+    n_trajectories = 256
+    widths: list[int] = []
+    steps: list[tuple[list[int], int]] = []  # (widths of a step's flow evaluations, jump events made by its end)
+    made = 0
+    real_rhs, real_step = _flow.rhs_block, _batch.jump_step
+
+    def rhs(flow, psi):
+        widths.append(psi.shape[1])
+        return real_rhs(flow, psi)
+
+    def step(flow, states, owner, *rest):
+        nonlocal made
+        out = real_step(flow, states, owner, *rest)
+        made += len({(int(owner[j]), chosen) for j, _, chosen in out[4]})
+        steps.append((widths[:], made))
+        widths.clear()
+        return out
+
+    monkeypatch.setattr(_flow, "rhs_block", rhs)
+    monkeypatch.setattr(_batch, "jump_step", step)
+    base = TrajectoryConfig(dt=5e-3, t_final=0.5, seed=7)
+    run_batch(OSC, fock_state(20, 0), EnsembleConfig(n_trajectories=n_trajectories, base=base, snapshot_times=(0.5,)))
+    assert len(steps) == base.n_steps
+    first = next(k for k, (_, events) in enumerate(steps) if events)
+    assert all(width == 1 for seen, _ in steps[:first] for width in seen)
+    for seen, events in steps:
+        assert max(seen) <= min(n_trajectories, 1 + events)
+    assert 10 < made < n_trajectories
+
+
 def test_block_rejects_a_repeated_index():
     with pytest.raises(ValueError, match="repeat"):
         run_trajectories(FLIP, E0_2, flip_config(), (3, 1, 3))
@@ -511,24 +643,17 @@ def test_block_rejects_an_empty_index_list():
 
 
 def test_block_warns_once_naming_the_largest_probability(monkeypatch):
-    # only column 1 (index 4) is pushed above the warning threshold
-    real = _flow.rhs_block
-
-    def fake(flow, psi):
-        rhs, rate = real(flow, psi)
-        if psi.shape[1] > 1:
-            rate = rate.copy()
-            rate[1] = 3.0
-        return rhs, rate
-
-    monkeypatch.setattr(_flow, "rhs_block", fake)
+    # only index 4 is pushed above the warning threshold: it jumps to |1> on
+    # its first step, where the flow reports rate 3
+    scripted_uniforms(monkeypatch, {4: [(0.0, 0.5)]})
+    rate_by_level(monkeypatch, {1: 3.0})
     cfg = TrajectoryConfig(dt=0.1, t_final=0.5, seed=1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_trajectories(OSC, fock_state(20, 0), cfg, (2, 4))
     messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
     assert len(messages) == 1
-    assert messages[0].startswith("trajectory 4 at t=0.1: jump probability 0.300")
+    assert messages[0].startswith("trajectory 4 at t=0.2: jump probability 0.300")
 
 
 def test_event_log_format(tmp_path):
