@@ -26,6 +26,20 @@ term is imaginary in expectation and <A_b A_a> is the conjugate of
 <A_a A_b>.  Couplings whose rows and columns of D vanish drop out of
 every term and are excluded from the stack.
 
+The same blocks give the master-equation generator of generator.py on a
+d x d operator rho:
+
+    L[rho] = C rho + rho C^dag + sum_ab gain_ab A_a rho A_b,    gain = (2/hbar^2) D
+
+Expanding the double commutator and the friction commutator, the terms
+with rho between two couplings are (1/hbar^2) Re D_ab (A_a rho A_b +
+A_b rho A_a) and, for a < b, (2i/hbar^2) Im D_ab (A_a rho A_b - A_b rho
+A_a); Re D is symmetric and Im D antisymmetric, so they sum to
+(2/hbar^2) sum_ab D_ab A_a rho A_b, and every other term is C rho +
+rho C^dag.  generator_image takes one stacked product stack rho for
+C rho and every A_a rho, one product rho C^dag, and one product of the
+row of A_a rho blocks with the stacked B_a = sum_b gain_ab A_b.
+
 The jump channels are the eigenpairs of the modified rate operator
 W' = Phi G Phi^dag, G = (2/hbar^2) D, whose columns phi_a = (A_a - s_a) psi
 are the coupling rows of y less their means.  With the reduced QR
@@ -37,6 +51,7 @@ count, and maps its eigenvectors through Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +71,12 @@ class CompiledFlow:
     stack: np.ndarray  # ((1 + n_active) * d, d): C on top, then the active couplings
     n_active: int
     gain: np.ndarray  # (n_active, n_active): (2/hbar^2) D restricted to active rows
+
+    @cached_property
+    def sandwich(self) -> np.ndarray:
+        """(n_active * d, d): the blocks B_a = sum_b gain_ab A_b, stacked; formed on first use."""
+        d = self.dim
+        return np.tensordot(self.gain, self.stack[d:].reshape(self.n_active, d, d), axes=1).reshape(-1, d)
 
 
 def compile_flow(spec: GeneratorSpec) -> CompiledFlow:
@@ -98,6 +119,18 @@ def rhs_block(cf: CompiledFlow, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray
         v = v + g[a] * y[1 + a]
         dot = dot + g[a] * s[a]
     return v - psi * dot, -(dot.real + q[0].real)
+
+
+def generator_image(cf: CompiledFlow, rho: np.ndarray) -> np.ndarray:
+    """Image L[rho] = C rho + rho C^dag + sum_ab gain_ab A_a rho A_b of a d x d operator.
+
+    rho C^dag is its own product, not (C rho)^dag, so that an input that is
+    Hermitian only to roundoff keeps its own arithmetic.
+    """
+    d = cf.dim
+    y = cf.stack @ rho
+    row = y[d:].reshape(cf.n_active, d, d).transpose(1, 0, 2).reshape(d, -1)
+    return y[:d] + rho @ cf.stack[:d].conj().T + row @ cf.sandwich
 
 
 def channels_block(cf: CompiledFlow, psi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -5,7 +5,10 @@ operator evolved directly under the generator.  This module holds both
 sides of that comparison: the direct Runge-Kutta master integrator (the
 oracle), the single-step algebraic equivalence check, and the
 convergence report that quantifies their distance with a jackknife
-error bar.
+error bar.  The oracle steps on the compiled flow, the blocks the
+trajectories step on too (_flow.generator_image); generator.apply_generator,
+which builds L[rho] from the raw specification, stays the reference that
+the tests and `qjump verify` compare against.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._batch import run_batch, single_blas_thread
-from ._flow import channels_block, compile_flow, rk4_step_block
+from ._flow import CompiledFlow, channels_block, compile_flow, generator_image, rk4_step_block
 from ._io import fmt, write_lines
-from .errors import PositivityLost
+from .errors import DimensionMismatch, PositivityLost
 from .generator import GeneratorSpec, apply_generator
 from .linalg import as_operator, as_state, hermiticity_defect, normalize, outer, trace_distance
 from .trajectory import TrajectoryConfig, grid_step
@@ -77,15 +80,26 @@ class ConvergenceReport:
 def master_step(spec: GeneratorSpec, rho: np.ndarray, dt: float) -> np.ndarray:
     """One Runge-Kutta step of the master equation d rho / dt = L[rho].
 
+    L[rho] is evaluated on the compiled flow (_flow.generator_image).
     Guards the structural invariants every step: trace drift and
     hermiticity drift stay at roundoff, and the spectrum may dip below
     zero only by discretization noise.
     """
+    return _rk4_master(compile_flow(spec), _density(spec, rho), dt)
+
+
+def _density(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     rho = as_operator(rho)
-    k1 = apply_generator(spec, rho)
-    k2 = apply_generator(spec, rho + (0.5 * dt) * k1)
-    k3 = apply_generator(spec, rho + (0.5 * dt) * k2)
-    k4 = apply_generator(spec, rho + dt * k3)
+    if rho.shape != (spec.dim, spec.dim):
+        raise DimensionMismatch(f"operator has shape {rho.shape}, expected {(spec.dim, spec.dim)}")
+    return rho
+
+
+def _rk4_master(flow: CompiledFlow, rho: np.ndarray, dt: float) -> np.ndarray:
+    k1 = generator_image(flow, rho)
+    k2 = generator_image(flow, rho + (0.5 * dt) * k1)
+    k3 = generator_image(flow, rho + (0.5 * dt) * k2)
+    k4 = generator_image(flow, rho + dt * k3)
     out = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     # each guard is a negated in-bounds test so that NaN and inf fail it
     drift = abs(complex(np.trace(out)) - complex(np.trace(rho)))
@@ -107,15 +121,30 @@ def master_evolve(
     n_steps: int,
     snapshot_steps: tuple[int, ...] = (),
 ) -> np.ndarray:
-    """Integrate the master equation, returning the requested snapshots."""
-    slot_of = {int(s): i for i, s in enumerate(snapshot_steps)}
-    d = spec.dim
-    snaps = np.empty((len(snapshot_steps), d, d), dtype=np.complex128)
-    rho = as_operator(rho0)
+    """Integrate the master equation, returning the requested snapshots.
+
+    Compiles the flow once and takes every step on it.  A snapshot step
+    outside 0..n_steps or a repeated one raises ValueError; a failed step
+    raises PositivityLost naming the time the step was to reach.
+    """
+    slot_of = {}
+    for i, s in enumerate(snapshot_steps):
+        s = int(s)
+        if not 0 <= s <= n_steps:
+            raise ValueError(f"snapshot step {s} is outside 0..{n_steps}")
+        if s in slot_of:
+            raise ValueError(f"snapshot step {s} repeats")
+        slot_of[s] = i
+    flow = compile_flow(spec)
+    rho = _density(spec, rho0)
+    snaps = np.empty((len(snapshot_steps), spec.dim, spec.dim), dtype=np.complex128)
     if 0 in slot_of:
         snaps[slot_of[0]] = rho
     for i in range(n_steps):
-        rho = master_step(spec, rho, dt)
+        try:
+            rho = _rk4_master(flow, rho, dt)
+        except PositivityLost as exc:
+            raise PositivityLost(f"oracle step to t={(i + 1) * dt:.12g}: {exc}") from None
         slot = slot_of.get(i + 1)
         if slot is not None:
             snaps[slot] = rho

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from qjump import _batch
+from qjump import _batch, cli, ensemble, generator, unraveling
 from qjump._batch import run_batch
 from qjump.ensemble import (
     ConvergenceReport,
@@ -83,8 +83,34 @@ def test_master_step_rejects_non_finite_density(bad):
 
 
 def test_master_step_rejects_oversized_step():
-    with pytest.raises(PositivityLost):
+    with pytest.raises(PositivityLost, match=r"^oracle step to t=0\.8: master step produced eigenvalue"):
         master_evolve(OSC, outer(fock_state(20, 0)), 0.8, 10, (10,))
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [((-1,), "snapshot step -1 is outside 0..10"), ((11,), "snapshot step 11 is outside 0..10"), ((5, 5), "snapshot step 5 repeats")],
+)
+def test_master_evolve_rejects_snapshot_steps_it_cannot_fill(steps, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        master_evolve(FLIP, outer(E0_2), 1e-2, 10, steps)
+
+
+def test_run_ensemble_steps_its_oracle_on_the_compiled_flow(monkeypatch):
+    # apply_generator is the reference route; the oracle must not call it
+    calls = []
+    real = generator.apply_generator
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (generator, ensemble, unraveling, cli):
+        monkeypatch.setattr(module, "apply_generator", spy)
+    base = TrajectoryConfig(dt=1e-2, t_final=0.2, seed=5)
+    report = run_ensemble(OSC, fock_state(20, 1), EnsembleConfig(n_trajectories=6, base=base, snapshot_times=(0.1, 0.2)))
+    assert calls == []
+    assert np.all(np.isfinite(report.rho_oracle))
 
 
 def test_single_step_equivalence_residual_and_order():

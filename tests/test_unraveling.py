@@ -8,7 +8,7 @@ fock(n) at rate 2 D22 sigma_xx with sigma_xx = (2n+1)/2 in natural units.
 import numpy as np
 import pytest
 
-from qjump._flow import channels_block, compile_flow, rhs_block
+from qjump._flow import channels_block, compile_flow, generator_image, rhs_block
 from qjump.generator import GeneratorSpec, apply_generator, random_hermitian
 from qjump.linalg import expectation, normalize, orthonormal_completion, outer
 from qjump.oscillator import OscillatorParams, fock_state, oscillator_generator, random_truncation_safe_state
@@ -128,6 +128,31 @@ def test_channels_block_matches_reference_route(spec, safe):
         single_rates, single_targets = channels_block(flow, states[:, j : j + 1])[0]
         assert np.max(np.abs(rates - single_rates), initial=0.0) <= 1e-14 * scale
         assert np.max(np.abs(targets - single_targets), initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FLIP,
+        OSC_SPEC,
+        oscillator_generator(FULL),
+        oscillator_generator(OscillatorParams(levels=40, d11=0.3, d22=0.5, re_d12=0.1, im_d12=0.05)),
+        THREE_LEVEL,
+        SEVEN_LEVEL,
+        HAMILTONIAN_ONLY,
+    ],
+    ids=["flip", "diffusion-only-d20", "full-rank-d20", "full-rank-d40", "three-level", "seven-level", "hamiltonian-only"],
+)
+def test_generator_image_matches_reference_route(spec):
+    # the oracle steps on the compiled blocks; apply_generator builds L[rho]
+    # from the raw specification.  The diffusion-only model's x coupling is
+    # inactive, so only its p row is in the stack.
+    rng = np.random.default_rng(29)
+    flow = compile_flow(spec)
+    for _ in range(4):
+        rho = random_hermitian(spec.dim, rng)
+        reference = apply_generator(spec, rho)
+        assert np.max(np.abs(generator_image(flow, rho) - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_rank_deficient_coupling_rows_yield_no_channel():
