@@ -24,7 +24,7 @@ integrate is the one step loop: it starts every trajectory on one shared
 psi0, draws each trajectory's uniforms WINDOW steps at a time from its
 stream and takes every step through jump_step: Bernoulli jump with
 probability w dt decided by the first uniform, channel selection by
-cumulative scan with the second, jump replacing the whole step.
+cumulative scan with the second; a step jumps at t, then flows to t + dt.
 Trajectories share a state until a jump of their own separates them: the
 ones that jump from one state through one channel on one step share the
 new state, so there are never more states than trajectories.  The flow
@@ -33,11 +33,11 @@ first Runge-Kutta stage; it, the Runge-Kutta step and the norm drift are
 computed once per state however many trajectories hold it, and the
 channels once per state that some trajectory jumps from, in one stacked
 _flow.channels_block call.  jump_step is also the one judge of a step,
-and judges only the states that some trajectory keeps.  Each trajectory
-still decides with its own uniforms, and its jump decisions and verdicts
-depend only on its stream and its own state, never on which trajectories
-share its chunk or its state; its last bits may, since BLAS sums a block
-of several states in another order than a single one.  expectations
+and judges only the states that some trajectory keeps or jumps to.  Each
+trajectory still decides with its own uniforms, and its jump decisions
+and verdicts depend only on its stream and its own state, never on which
+trajectories share its chunk or its state; its last bits may, since BLAS
+sums a block of several states in another order than a single one.  expectations
 gives both drivers' observable values, once per state, and
 warn_jump_prob their one warning when a step's jump probability passed
 JUMP_PROB_WARN.
@@ -228,12 +228,13 @@ def jump_step(
     many columns hold it.  u[:, j] is column j's pair of uniforms for this
     step and the step lands on t = (step + 1) dt; errors name both, for
     the first column in column order whose own state fails a check.
-    Column j jumps when u[0, j] < w dt; the jump replaces the whole step
-    with the channel that u[1, j] selects.  The channels are found once
-    per state that a column jumps from, and the columns that jump from one
-    state through one channel share one new state.  A state that some
-    column keeps takes the Runge-Kutta step once, and only those steps are
-    held to NORM_DRIFT_MAX; a state that no column keeps is dropped.
+    Column j jumps when u[0, j] < w dt, at the start of the step, to the
+    channel that u[1, j] selects, which then flows to t.  The channels are
+    found once per state that a column jumps from, and the columns that
+    jump from one state through one channel share one new state.  Each
+    state that some column keeps, and each new state, takes the Runge-Kutta
+    step once in one block, and only those steps are held to
+    NORM_DRIFT_MAX; a state that no column keeps is dropped unjudged.
 
     Returns the next block of states, the owner of each column in it, its
     evaluation, the step's largest jump probability with the trajectory
@@ -289,15 +290,10 @@ def jump_step(
         # the kept states, in their order, then the targets
         owner = np.cumsum(kept)[owner] - 1
         owner[moved] = keep.size + np.asarray(slots)
-        if keep.size:
-            flowed, drift = _flow.rk4_step_block(flow, states[:, keep], dt, k1=k1[:, keep])
-        else:
-            # every column jumped: no state takes the step, and rhs_block takes no empty block
-            flowed, drift = states[:, :0], np.zeros(0)
-        states = np.concatenate([flowed, np.stack(targets, axis=1)], axis=1)
-        drift = np.concatenate([drift, np.zeros(len(targets))])
-    else:
-        states, drift = _flow.rk4_step_block(flow, states, dt, k1=k1)
+        targets = np.stack(targets, axis=1)
+        states = np.concatenate([states[:, keep], targets], axis=1)
+        k1 = np.concatenate([k1[:, keep], _flow.rhs_block(flow, targets)[0]], axis=1)
+    states, drift = _flow.rk4_step_block(flow, states, dt, k1=k1)
     # negated as above, so that a non-finite state fails too
     j = _first_owner(~(drift <= NORM_DRIFT_MAX), owner)
     if j is not None:

@@ -2,23 +2,25 @@
 
 The ensemble mean of trajectory projectors must reproduce the density
 operator evolved directly under the generator.  This module holds both
-sides of that comparison: the direct Runge-Kutta master integrator (the
-oracle), the single-step algebraic equivalence check, and the
-convergence report that quantifies their distance with a jackknife
-error bar.  The oracle steps on the compiled flow, the blocks the
-trajectories step on too (_flow.generator_image); generator.apply_generator,
-which builds L[rho] from the raw specification, stays the reference that
-the tests and `qjump verify` compare against.
+sides of that comparison: the oracle exp(L t) rho0, which takes no grid
+and so adds no error of the trajectories' dt, the single-step algebraic
+equivalence check, and the convergence report that quantifies their
+distance with a jackknife error bar.  The oracle applies L on the compiled
+flow, the blocks the trajectories step on too (_flow.generator_image);
+generator.apply_generator, which builds L[rho] from the raw specification,
+stays the reference that the tests and `qjump verify` compare against.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._batch import run_batch, single_blas_thread
-from ._flow import CompiledFlow, channels_block, compile_flow, generator_image, rk4_step_block
+from ._flow import channels_block, compile_flow, generator_image, rk4_step_block
 from ._io import fmt, write_lines
 from .errors import DimensionMismatch, PositivityLost
 from .generator import GeneratorSpec, apply_generator
@@ -77,77 +79,61 @@ class ConvergenceReport:
     n_trajectories: int
 
 
-def master_step(spec: GeneratorSpec, rho: np.ndarray, dt: float) -> np.ndarray:
-    """One Runge-Kutta step of the master equation d rho / dt = L[rho].
+def master_evolve(spec: GeneratorSpec, rho0: np.ndarray, times: Sequence[float]) -> np.ndarray:
+    """exp(L t) rho0 at each of times, each in its own slot: the master equation, on no grid.
 
-    L[rho] is evaluated on the compiled flow (_flow.generator_image).
-    Guards the structural invariants every step: trace drift and
-    hermiticity drift stay at roundoff, and the spectrum may dip below
-    zero only by discretization noise.
+    The interval up to each snapshot time from the one below it is split
+    into s = ceil(2 bound length) substeps h, with ||L|| <= bound = 2||C|| +
+    sum_ab |gain_ab| ||A_a|| ||A_b|| from the compiled flow, so that
+    ||L h|| <= 1/2; each substep sums the Taylor series of exp(L h) on
+    _flow.generator_image until a term no longer exceeds 1e-16 of the sum
+    (scaled Taylor, after Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+    (2011)).  A negative, non-finite or repeated time raises ValueError.
+    Every snapshot is guarded: its trace stays at rho0's, its hermiticity
+    defect at roundoff, and its spectrum may dip below zero only by
+    roundoff; a failed guard raises PositivityLost naming the time.
     """
-    return _rk4_master(compile_flow(spec), _density(spec, rho), dt)
-
-
-def _density(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
-    rho = as_operator(rho)
+    times = [float(t) for t in times]
+    for t in times:
+        if not 0.0 <= t < np.inf:
+            raise ValueError(f"snapshot time {t!r} is negative or not finite")
+    if len(set(times)) != len(times):
+        raise ValueError(f"snapshot times {tuple(times)} repeat a time")
+    flow = compile_flow(spec)
+    rho = as_operator(rho0)
     if rho.shape != (spec.dim, spec.dim):
         raise DimensionMismatch(f"operator has shape {rho.shape}, expected {(spec.dim, spec.dim)}")
-    return rho
-
-
-def _rk4_master(flow: CompiledFlow, rho: np.ndarray, dt: float) -> np.ndarray:
-    k1 = generator_image(flow, rho)
-    k2 = generator_image(flow, rho + (0.5 * dt) * k1)
-    k3 = generator_image(flow, rho + (0.5 * dt) * k2)
-    k4 = generator_image(flow, rho + dt * k3)
-    out = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    # each guard is a negated in-bounds test so that NaN and inf fail it
-    drift = abs(complex(np.trace(out)) - complex(np.trace(rho)))
-    if not (drift <= TRACE_DRIFT_TOL):
-        raise PositivityLost(f"master step changed the trace by {drift:.3e}")
-    defect = hermiticity_defect(out)
-    if not (defect <= HERMITICITY_DRIFT_TOL):
-        raise PositivityLost(f"master step broke hermiticity by {defect:.3e}")
-    low = float(np.min(np.linalg.eigvalsh(0.5 * (out + out.conj().T))))
-    if not (low >= EIGENVALUE_ERROR_TOL):
-        raise PositivityLost(f"master step produced eigenvalue {low:.3e} < {EIGENVALUE_ERROR_TOL:.1e}")
-    return out
-
-
-def master_evolve(
-    spec: GeneratorSpec,
-    rho0: np.ndarray,
-    dt: float,
-    n_steps: int,
-    snapshot_steps: tuple[int, ...] = (),
-) -> np.ndarray:
-    """Integrate the master equation, returning the requested snapshots.
-
-    Compiles the flow once and takes every step on it.  A snapshot step
-    outside 0..n_steps or a repeated one raises ValueError; a failed step
-    raises PositivityLost naming the time the step was to reach.
-    """
-    slot_of = {}
-    for i, s in enumerate(snapshot_steps):
-        s = int(s)
-        if not 0 <= s <= n_steps:
-            raise ValueError(f"snapshot step {s} is outside 0..{n_steps}")
-        if s in slot_of:
-            raise ValueError(f"snapshot step {s} repeats")
-        slot_of[s] = i
-    flow = compile_flow(spec)
-    rho = _density(spec, rho0)
-    snaps = np.empty((len(snapshot_steps), spec.dim, spec.dim), dtype=np.complex128)
-    if 0 in slot_of:
-        snaps[slot_of[0]] = rho
-    for i in range(n_steps):
-        try:
-            rho = _rk4_master(flow, rho, dt)
-        except PositivityLost as exc:
-            raise PositivityLost(f"oracle step to t={(i + 1) * dt:.12g}: {exc}") from None
-        slot = slot_of.get(i + 1)
-        if slot is not None:
-            snaps[slot] = rho
+    trace0 = complex(np.trace(rho))
+    d = flow.dim
+    norms = np.linalg.norm(flow.stack.reshape(-1, d, d), ord=2, axis=(1, 2))
+    bound = 2.0 * norms[0] + norms[1:] @ np.abs(flow.gain) @ norms[1:]
+    snaps = np.empty((len(times), d, d), dtype=np.complex128)
+    now = 0.0
+    for slot in np.argsort(times):
+        t = times[slot]
+        substeps = math.ceil(2.0 * bound * (t - now))
+        h = (t - now) / max(substeps, 1)
+        for _ in range(substeps):
+            term, n = rho, 1
+            while True:
+                term = generator_image(flow, term) * (h / n)
+                rho = rho + term
+                n += 1
+                # negated, so that a NaN or inf term stops the series
+                if not (np.linalg.norm(term) > 1e-16 * np.linalg.norm(rho)):
+                    break
+        now = t
+        # each guard is a negated in-bounds test so that NaN and inf fail it
+        drift = abs(complex(np.trace(rho)) - trace0)
+        if not (drift <= TRACE_DRIFT_TOL):
+            raise PositivityLost(f"oracle at t={t:.12g}: trace drifted by {drift:.3e}")
+        defect = hermiticity_defect(rho)
+        if not (defect <= HERMITICITY_DRIFT_TOL):
+            raise PositivityLost(f"oracle at t={t:.12g}: hermiticity broken by {defect:.3e}")
+        low = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
+        if not (low >= EIGENVALUE_ERROR_TOL):
+            raise PositivityLost(f"oracle at t={t:.12g}: eigenvalue {low:.3e} < {EIGENVALUE_ERROR_TOL:.1e}")
+        snaps[slot] = rho
     return snaps
 
 
@@ -201,7 +187,7 @@ def run_ensemble(
     cfg: EnsembleConfig,
     threads: int = 1,
 ) -> ConvergenceReport:
-    """Monte Carlo ensemble versus master-equation oracle on one grid.
+    """Monte Carlo ensemble on the configured grid versus the exact oracle at its snapshot times.
 
     Trajectory indices run from 0 to n_trajectories - 1 under the
     configured seed.  The result is deterministic for fixed (spec, psi0,
@@ -213,7 +199,8 @@ def run_ensemble(
     batch = run_batch(spec, psi0, cfg, threads=threads)
     m = cfg.n_trajectories
     rho_mc = batch.block_sums.sum(axis=1) / m
-    rho_oracle = master_evolve(spec, outer(psi0), base.dt, base.n_steps, cfg.snapshot_steps)
+    times = np.array([k * base.dt for k in cfg.snapshot_steps], dtype=np.float64)
+    rho_oracle = master_evolve(spec, outer(psi0), times)
     n_snap = len(cfg.snapshot_steps)
     distances = np.array([trace_distance(rho_mc[s], rho_oracle[s]) for s in range(n_snap)])
     stat_errors = _jackknife_errors(batch.block_sums, batch.block_counts, rho_oracle)
@@ -222,7 +209,6 @@ def run_ensemble(
         stderrs = np.sqrt(batch.obs_sqdev / m / (m - 1))
     else:
         stderrs = np.zeros_like(means)
-    times = np.array([s * base.dt for s in cfg.snapshot_steps], dtype=np.float64)
     return ConvergenceReport(
         times=times,
         trace_distances=distances,

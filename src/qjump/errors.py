@@ -27,7 +27,7 @@ class EmptyChannels(QJumpError):
 
 class StepTooLarge(QJumpError):
     """A step is too large: its jump probability exceeds the ceiling, or the
-    Runge-Kutta step a trajectory keeps drifted too far from unit norm before
+    Runge-Kutta step a trajectory takes drifted too far from unit norm before
     renormalization.  The message names the trajectory and the time.
     """
 

@@ -1,13 +1,13 @@
 """Piecewise-deterministic trajectories: flow steps interrupted by jumps.
 
-Time is discretized on a fixed grid of step dt.  Each step either jumps,
-with Bernoulli probability w dt decided by one uniform draw, or advances
-the deterministic no-jump flow by one Runge-Kutta step.  A jump replaces
-the whole step: the state at t + dt is the selected channel target.  The
-random stream is a counter-based Philox generator keyed by
-(seed, trajectory_index), two uniforms per step, so any trajectory of an
-ensemble can be reproduced in isolation and ensembles need no
-coordination between trajectories.
+Time is discretized on a fixed grid of step dt.  A step from t may
+jump, with Bernoulli probability w dt decided by one uniform draw, and
+then advances the deterministic no-jump flow by one Runge-Kutta step:
+jump at t, then flow to t + dt, so after a jump the state at t + dt is
+the selected channel target flowed for dt.  The random stream is a
+counter-based Philox generator keyed by (seed, trajectory_index), two
+uniforms per step, so any trajectory of an ensemble can be reproduced in
+isolation and ensembles need no coordination between trajectories.
 
 run_trajectories steps its trajectory indices, up to _batch.CHUNK at a
 time, through _batch.integrate, the step loop the ensemble engine uses,
@@ -154,8 +154,9 @@ def run_trajectory(spec: GeneratorSpec, psi0: np.ndarray, cfg: TrajectoryConfig,
 def write_event_log(record: TrajectoryRecord, path: str) -> None:
     """Per-step event log: time, event_type (step or jump), rate, target.
 
-    Step rows leave the channel fields empty; jump rows carry the
-    selected channel's rate and index.
+    Each row is the step that lands on its time.  Step rows leave the
+    channel fields empty; a jump row's step jumped at its start, through
+    the channel whose rate and index it carries, then flowed for dt.
     """
     dt = float(record.times[1] - record.times[0])
     jumps = {round(event.time / dt): f",jump,{fmt(event.channel_rate)},{event.target_index}" for event in record.jumps}

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qjump import _batch, cli, ensemble, generator, unraveling
 from qjump._batch import run_batch
@@ -16,12 +17,11 @@ from qjump.ensemble import (
     ConvergenceReport,
     EnsembleConfig,
     master_evolve,
-    master_step,
     run_ensemble,
     single_step_equivalence_test,
     write_convergence_csv,
 )
-from qjump.errors import PositivityLost
+from qjump.errors import DimensionMismatch, PositivityLost
 from qjump.generator import GeneratorSpec
 from qjump.linalg import normalize, outer, trace_distance
 from qjump.oscillator import (
@@ -41,59 +41,103 @@ E0_2 = np.array([1.0, 0.0], dtype=np.complex128)
 POP0 = np.diag([1.0, 0.0]).astype(np.complex128)
 
 
-def test_master_step_preserves_density_structure():
-    rho = outer(E0_2)
-    for _ in range(50):
-        rho = master_step(FLIP, rho, 1e-2)
+def test_master_evolve_preserves_density_structure():
+    (rho,) = master_evolve(OSC, outer(coherent_state(20, 0.8 - 0.3j)), (0.5,))
     assert abs(np.trace(rho).real - 1.0) < 1e-12
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
 
 
 def test_master_evolution_matches_analytic_flip_solution():
-    snaps = (0, 250, 500, 1000)
-    rhos = master_evolve(FLIP, outer(E0_2), 1e-3, 1000, snaps)
+    times = (0.0, 0.25, 0.5, 1.0)
+    rhos = master_evolve(FLIP, outer(E0_2), times)
     assert rhos.shape == (4, 2, 2)
-    for rho, step in zip(rhos, snaps):
-        t = step * 1e-3
-        expected = 0.5 * (1.0 + np.exp(-2.0 * t))
-        assert rho[0, 0].real == pytest.approx(expected, abs=1e-10)
-        assert abs(rho[0, 1]) < 1e-12
+    for rho, t in zip(rhos, times):
+        assert rho[0, 0].real == pytest.approx(0.5 * (1.0 + np.exp(-2.0 * t)), abs=1e-14)
+        assert abs(rho[0, 1]) < 1e-14
 
 
-def test_master_step_unitary_accuracy():
-    # pure Hamiltonian: one RK4 step vs the exact phase evolution
+def test_master_evolve_fills_unsorted_times_in_their_own_slots():
+    times = (1.0, 0.0, 0.5)
+    rhos = master_evolve(OSC, outer(fock_state(20, 1)), times)
+    for rho, t in zip(rhos, times):
+        (alone,) = master_evolve(OSC, outer(fock_state(20, 1)), (t,))
+        assert np.max(np.abs(rho - alone)) < 1e-14
+
+
+def test_master_evolve_unitary_accuracy():
+    # pure Hamiltonian: the exact phase evolution
     params = OscillatorParams(levels=6, d22=0.0)
     spec = oscillator_generator(params)
     psi0 = normalize(fock_state(6, 0) + fock_state(6, 3))
-    dt = 1e-2
-    stepped = master_step(spec, outer(psi0), dt)
-    phases = np.exp(-1j * np.diag(spec.hamiltonian).real * dt)
-    exact = outer(phases * psi0)
-    assert np.max(np.abs(stepped - exact)) < 1e-9
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_master_step_rejects_non_finite_density(bad):
-    for entry in ((0, 0), (0, 1)):
-        rho = outer(E0_2)
-        rho[entry] = bad
-        with pytest.raises(PositivityLost), np.errstate(invalid="ignore"):
-            master_step(FLIP, rho, 1e-2)
-
-
-def test_master_step_rejects_oversized_step():
-    with pytest.raises(PositivityLost, match=r"^oracle step to t=0\.8: master step produced eigenvalue"):
-        master_evolve(OSC, outer(fock_state(20, 0)), 0.8, 10, (10,))
+    times = (1e-2, 1.0)
+    for rho, t in zip(master_evolve(spec, outer(psi0), times), times):
+        phases = np.exp(-1j * np.diag(spec.hamiltonian).real * t)
+        assert np.max(np.abs(rho - outer(phases * psi0))) < 1e-13
 
 
 @pytest.mark.parametrize(
-    "steps, message",
-    [((-1,), "snapshot step -1 is outside 0..10"), ((11,), "snapshot step 11 is outside 0..10"), ((5, 5), "snapshot step 5 repeats")],
+    "params",
+    [OscillatorParams(levels=20, d22=0.5), OscillatorParams(levels=20, d11=0.3, d22=0.5, re_d12=0.1, im_d12=0.05)],
+    ids=["diffusion-only", "full-rank"],
 )
-def test_master_evolve_rejects_snapshot_steps_it_cannot_fill(steps, message):
+def test_master_evolve_matches_expm_of_the_liouvillian(params):
+    # the Liouvillian's columns are the reference generator's images of the basis matrices
+    d = params.levels
+    spec = oscillator_generator(params)
+    basis = np.eye(d * d, dtype=np.complex128).reshape(d * d, d, d)
+    liouvillian = np.stack([generator.apply_generator(spec, e).ravel() for e in basis], axis=1)
+    rho0 = outer(coherent_state(d, 0.8 - 0.3j))
+    times = (0.25, 1.0)
+    for rho, t in zip(master_evolve(spec, rho0, times), times):
+        exact = (scipy.linalg.expm(liouvillian * t) @ rho0.ravel()).reshape(d, d)
+        assert np.max(np.abs(rho - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("t", [0.0, 1e-2])
+def test_master_evolve_rejects_non_finite_density(bad, t):
+    for entry in ((0, 0), (0, 1)):
+        rho = outer(E0_2)
+        rho[entry] = bad
+        with pytest.raises(PositivityLost, match=f"^oracle at t={t:g}: "), np.errstate(invalid="ignore"):
+            master_evolve(FLIP, rho, (t,))
+
+
+def test_master_evolve_rejects_a_density_of_another_dimension():
+    with pytest.raises(DimensionMismatch, match=r"^operator has shape \(2, 2\), expected \(20, 20\)$"):
+        master_evolve(OSC, outer(E0_2), (0.1,))
+
+
+def test_master_evolve_names_the_time_of_a_failed_guard():
+    # trace 1 and Hermitian, but with eigenvalue -1/2: the flow relaxes it towards 1/2 only slowly
+    rho = np.diag([1.5, -0.5]).astype(np.complex128)
+    with pytest.raises(PositivityLost, match=r"^oracle at t=0\.01: eigenvalue -4\.80\de-01 < -1\.0e-06$"):
+        master_evolve(FLIP, rho, (0.01,))
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ((-0.1,), r"snapshot time -0\.1 is negative or not finite"),
+        ((float("inf"),), "snapshot time inf is negative or not finite"),
+        ((float("nan"),), "snapshot time nan is negative or not finite"),
+        ((0.5, 0.1, 0.5), r"snapshot times \(0\.5, 0\.1, 0\.5\) repeat a time"),
+    ],
+    ids=["negative", "inf", "nan", "repeated"],
+)
+def test_master_evolve_rejects_snapshot_times_it_cannot_fill(times, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        master_evolve(FLIP, outer(E0_2), 1e-2, 10, steps)
+        master_evolve(FLIP, outer(E0_2), times)
+
+
+def test_run_ensemble_at_a_coarse_step_takes_an_exact_oracle():
+    # an RK4 step of 0.1 on this model leaves an eigenvalue of -4.8e-6; the oracle takes no step of the grid
+    base = TrajectoryConfig(dt=0.1, t_final=1.0, seed=5)
+    with pytest.warns(UserWarning, match="discretization bias is first order in dt"):
+        report = run_ensemble(OSC, fock_state(20, 0), EnsembleConfig(n_trajectories=8, base=base, snapshot_times=(0.5, 1.0)))
+    assert np.array_equal(report.rho_oracle, master_evolve(OSC, outer(fock_state(20, 0)), (0.5, 1.0)))
+    assert np.all(np.isfinite(report.trace_distances))
 
 
 def test_run_ensemble_steps_its_oracle_on_the_compiled_flow(monkeypatch):
@@ -250,8 +294,8 @@ def test_run_ensemble_converges_on_flip_model():
         expected = 0.5 * (1.0 + np.exp(-2.0 * t))
         spread = max(report.observable_stderrs[s, 0], 1e-3)
         assert abs(report.observable_means[s, 0] - expected) < 5.0 * spread
-    # oracle column is the analytic solution up to RK4 error at dt = 1e-2
-    assert report.rho_oracle[1][0, 0].real == pytest.approx(0.5 * (1.0 + np.exp(-2.0)), abs=1e-8)
+    # the oracle is the analytic solution, with no error from the grid
+    assert report.rho_oracle[1][0, 0].real == pytest.approx(0.5 * (1.0 + np.exp(-2.0)), abs=1e-14)
 
 
 def test_run_ensemble_single_trajectory():
@@ -306,12 +350,28 @@ def test_run_ensemble_converges_with_friction(friction_run):
     assert np.all(report.trace_distances < 0.05)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: a jump replaces its whole step and skips dt of flow, which biases <x> by O(dt)",
-)
 def test_ensemble_mean_of_x_matches_the_oracle_with_friction(friction_run):
+    # every trajectory carries the oracle's <x> (the test below), so the
+    # standard error collapses to roundoff and the bound is absolute
     report, x = friction_run
     for s in range(report.times.size):
         oracle = np.trace(report.rho_oracle[s] @ x).real
-        assert abs(report.observable_means[s, 0] - oracle) < 4.0 * report.observable_stderrs[s, 0]
+        assert abs(report.observable_means[s, 0] - oracle) <= 1e-9
+
+
+@pytest.mark.parametrize("dt", [1e-3, 4e-3])
+def test_each_trajectory_carries_the_oracles_first_moments(dt):
+    # A jump leaves <x> and <p> where they were, and the frictional flow moves
+    # them by the master equation's linear moment equations (Molmer, Castin &
+    # Dalibard, JOSA B 10, 524 (1993)), so every trajectory's own <x> and <p>
+    # equal the oracle's at every step, whatever its jumps.
+    spec = oscillator_generator(FRICTION)
+    _, x, p = build_operators(FRICTION)
+    psi0 = coherent_state(20, 0.8 - 0.3j)
+    cfg = TrajectoryConfig(dt=dt, t_final=0.4, seed=1, observables={"x": x, "p": p})
+    records = run_trajectories(spec, psi0, cfg, range(16))
+    assert any(record.jumps for record in records)
+    rhos = master_evolve(spec, outer(psi0), cfg.times)
+    for name, op in (("x", x), ("p", p)):
+        oracle = np.einsum("ij,tji->t", op, rhos).real
+        assert max(np.max(np.abs(record.observables[name] - oracle)) for record in records) <= 1e-6
