@@ -1,23 +1,22 @@
 """Vectorized multi-trajectory engine and the one step policy it shares.
 
-Evolves many trajectories of one generator at once.  A block of
-trajectories is held as its distinct states, the columns of a (d, S)
-block, and an owner map that gives each trajectory its state, so each
-Runge-Kutta stage is a single stacked matrix product over the distinct
-states only.  Trajectories are processed in fixed chunks of CHUNK
-trajectories; worker threads may run chunks concurrently, but partial
-results are reduced strictly in chunk order, and every trajectory owns a
-Philox stream keyed by (seed, trajectory_index) with two uniforms per
-step.  Output bytes therefore do not depend on the thread count.  CHUNK
-itself is part of that contract: changing it reorders floating-point
-accumulation and changes output in the last bits.  A chunk draws its
-uniforms WINDOW steps at a time, so its memory does not grow with
-n_steps; Philox draws split at any row boundary equal one whole draw, so
-WINDOW is not part of the contract.
+Evolves many trajectories of one generator at once.  A run's
+trajectories are held as their distinct states, the columns of one
+(d, S) block, and an owner map that gives each trajectory its state, so
+each Runge-Kutta stage is a single stacked matrix product over the
+distinct states only.  Every trajectory owns a Philox stream keyed by
+(seed, trajectory_index) with two uniforms per step.  The engine runs
+its one block in the calling thread, and the order of every reduction
+is fixed by the config alone, so output bytes depend only on the
+config.  The block draws its uniforms WINDOW steps at a time, so memory
+does not grow with n_steps; it holds under 2 KiB per trajectory (a
+(WINDOW, 2) window of uniforms and a Philox generator).  Philox draws
+split at any row boundary equal one whole draw, so WINDOW is not part
+of the contract.
 
 Both engines share everything but their reductions: run_batch reduces
-its chunks to per-snapshot sums, trajectory.run_trajectories keeps every
-step of its blocks of requested indices.  run_batch takes the checked
+its block to per-snapshot sums, trajectory.run_trajectories keeps every
+step of its requested indices.  run_batch takes the checked
 ensemble.EnsembleConfig and integrate a checked trajectory.TrajectoryConfig,
 so neither repeats a check of its config; prepare checks the rest.
 integrate is the one step loop: it starts every trajectory on one shared
@@ -36,22 +35,19 @@ _flow.channels_block call.  jump_step is also the one judge of a step,
 and judges only the states that some trajectory keeps or jumps to.  Each
 trajectory still decides with its own uniforms, and its jump decisions
 and verdicts depend only on its stream and its own state, never on which
-trajectories share its chunk or its state; its last bits may, since BLAS
+trajectories share its block or its state; its last bits may, since BLAS
 sums a block of several states in another order than a single one.  expectations
 gives both drivers' observable values, once per state, and
 warn_jump_prob their one warning when a step's jump probability passed
 JUMP_PROB_WARN.
 
-The worker threads are the engine's only parallelism.  For the duration
-of run_batch (and of ensemble.run_ensemble, which includes the oracle
-and the jackknife) numpy's OpenBLAS is lowered to one thread,
-process-wide, whatever the worker count: threaded BLAS under threaded
-workers oversubscribes the cores, and a BLAS thread count that follows
-the machine would make output bytes follow it too.  Where numpy's BLAS
-is not an OpenBLAS this module can reach (MKL, Accelerate, no
-/proc/self/maps), BLAS threading is left as found.
+For the duration of run_batch (and of ensemble.run_ensemble, which
+includes the oracle and the jackknife) numpy's OpenBLAS is lowered to
+one thread, process-wide: a BLAS thread count that follows the machine
+would make output bytes follow it too.  Where numpy's BLAS is not an
+OpenBLAS this module can reach (MKL, Accelerate, no /proc/self/maps),
+BLAS threading is left as found.
 """
-
 from __future__ import annotations
 
 import contextlib
@@ -61,8 +57,7 @@ import os
 import sys
 import threading
 import warnings
-from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -78,8 +73,7 @@ if TYPE_CHECKING:  # ensemble and trajectory import this module
     from .ensemble import EnsembleConfig
     from .trajectory import TrajectoryConfig
 
-CHUNK = 1024
-WINDOW = 64  # steps of uniforms a chunk holds at once: 1 MiB at CHUNK columns
+WINDOW = 64  # steps of uniforms the block holds at once: 1 KiB per trajectory
 JUMP_PROB_WARN = 0.1
 JUMP_PROB_MAX = 0.5
 NORM_DRIFT_MAX = 1e-3
@@ -344,12 +338,12 @@ def integrate(
         yield i + 1, states, owner, jumps, peak
 
 
-def warn_jump_prob(peaks: Iterable[Peak], dt: float) -> float:
-    """Reduce a run's block peaks in order, warn once above JUMP_PROB_WARN, return the largest probability.
+def warn_jump_prob(peak: Peak, dt: float) -> float:
+    """Warn once if a run's Peak is above JUMP_PROB_WARN; return its probability.
 
     The warning points at the first frame outside this package: the caller of the run.
     """
-    prob, index, k = max(peaks, key=lambda peak: peak[0])
+    prob, index, k = peak
     if prob > JUMP_PROB_WARN:
         frame, level = sys._getframe(1), 2
         while frame is not None and frame.f_code.co_filename.startswith(_INSIDE):
@@ -383,22 +377,6 @@ def expectations(obs_stack: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.vecdot(states, (obs_stack @ states).reshape(-1, d, m), axis=-2).real.T
 
 
-def resolve_threads(threads: int | None) -> int:
-    """Map the user-facing thread count to a worker count.
-
-    0 or None means all cores this process may use: its CPU affinity
-    mask where the platform has one (a CPU-restricted container), else
-    os.cpu_count().
-    """
-    if threads is None or threads == 0:
-        if hasattr(os, "sched_getaffinity"):
-            return max(1, len(os.sched_getaffinity(0)))
-        return max(1, os.cpu_count() or 1)
-    if threads < 0:
-        raise ValueError(f"thread count must be nonnegative, got {threads}")
-    return int(threads)
-
-
 @dataclass
 class BatchResult:
     """Reduced per-snapshot sums over all trajectories, one snapshot per step of the config's snapshot_steps."""
@@ -411,79 +389,46 @@ class BatchResult:
 
 
 @single_blas_thread()
-def run_batch(spec: GeneratorSpec, psi0: np.ndarray, cfg: EnsembleConfig, threads: int = 1) -> BatchResult:
+def run_batch(spec: GeneratorSpec, psi0: np.ndarray, cfg: EnsembleConfig) -> BatchResult:
     """Run trajectories 0 ... cfg.n_trajectories - 1 from psi0 and reduce them at cfg.snapshot_steps.
 
     cfg is the checked EnsembleConfig: its snapshot steps are distinct
-    steps of its base's grid and it has at least one trajectory.  The
-    trajectories fall into min(JACKKNIFE_BLOCKS, n_trajectories) blocks
-    of consecutive indices, and the observables are those of cfg.base,
-    in its order.  Chunks sum squared deviations from their own mean and
-    merge in chunk order, so obs_sqdev keeps its digits when the spread
-    is tiny next to the mean.
+    steps of its base's grid and it has at least one trajectory.  Every
+    trajectory is integrated in one block, in the calling thread.  The
+    trajectories fall into min(JACKKNIFE_BLOCKS, n_trajectories) jackknife
+    blocks of consecutive indices, and the observables are those of
+    cfg.base, in its order.  obs_sqdev sums squared deviations from the
+    mean of all trajectories (two passes), so it keeps its digits when the
+    spread is tiny next to the mean.
     """
     base = cfg.base
     flow, psi0, obs_stack = prepare(spec, psi0, list(base.observables.values()))
     d = spec.dim
-    n_trajectories = cfg.n_trajectories
-    n_blocks = min(JACKKNIFE_BLOCKS, n_trajectories)
+    m = cfg.n_trajectories
+    n_blocks = min(JACKKNIFE_BLOCKS, m)
     slot_of = {step: slot for slot, step in enumerate(cfg.snapshot_steps)}
     n_snap = len(slot_of)
-    n_obs = len(base.observables)
-
-    def block_of(index: np.ndarray) -> np.ndarray:
-        return (index * n_blocks) // n_trajectories
-
-    def run_chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Peak]:
-        m = hi - lo
-        ids = block_of(np.arange(lo, hi, dtype=np.int64))
-        # chunk columns are consecutive trajectory indices, so each block
-        # occupies one contiguous column range
-        edges = [0, *(np.flatnonzero(np.diff(ids)) + 1).tolist(), m]
-        ranges = [(int(ids[c0]), c0, c1) for c0, c1 in zip(edges, edges[1:])]
-        sums = np.zeros((n_snap, n_blocks, d, d), dtype=np.complex128)
-        osum = np.zeros((n_snap, n_obs), dtype=np.float64)
-        osqdev = np.zeros((n_snap, n_obs), dtype=np.float64)
-
-        def accumulate(slot: int, states: np.ndarray, owner: np.ndarray) -> None:
-            # each state's projector once, weighted by the columns of the block that hold it
-            for block, c0, c1 in ranges:
-                counts = np.bincount(owner[c0:c1], minlength=states.shape[1])
-                sums[slot, block] += (states * counts) @ states.conj().T
-            vals = expectations(obs_stack, states)[owner]
-            osum[slot] = vals.sum(axis=0)
-            osqdev[slot] = ((vals - osum[slot] / m) ** 2).sum(axis=0)
-
-        for k, states, owner, _, peak in integrate(flow, psi0, base, range(lo, hi)):
-            slot = slot_of.get(k)
-            if slot is not None:
-                accumulate(slot, states, owner)
-        return sums, osum, osqdev, peak
-
-    bounds = [(lo, min(lo + CHUNK, n_trajectories)) for lo in range(0, n_trajectories, CHUNK)]
-    workers = resolve_threads(threads)
-    if workers <= 1 or len(bounds) == 1:
-        partials = [run_chunk(lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda span: run_chunk(*span), bounds))
-
+    block_counts = np.bincount((np.arange(m, dtype=np.int64) * n_blocks) // m, minlength=n_blocks)
+    # each jackknife block is one contiguous range of consecutive trajectory indices
+    edges = [0, *np.cumsum(block_counts).tolist()]
     block_sums = np.zeros((n_snap, n_blocks, d, d), dtype=np.complex128)
-    obs_sum = np.zeros((n_snap, n_obs), dtype=np.float64)
-    obs_sqdev = np.zeros((n_snap, n_obs), dtype=np.float64)
-    for (lo, hi), (sums, osum, osqdev, _) in zip(bounds, partials):
-        block_sums += sums
-        if lo:
-            # merge the chunk's centred sums into the first lo trajectories'
-            # by the pairwise update of Chan, Golub & LeVeque
-            delta = osum / (hi - lo) - obs_sum / lo
-            osqdev = osqdev + delta**2 * (lo * (hi - lo) / hi)
-        obs_sum += osum
-        obs_sqdev += osqdev
+    obs_sum = np.zeros((n_snap, len(base.observables)), dtype=np.float64)
+    obs_sqdev = np.zeros_like(obs_sum)
+    for k, states, owner, _, peak in integrate(flow, psi0, base, range(m)):
+        slot = slot_of.get(k)
+        if slot is None:
+            continue
+        # each state's projector once per block, weighted by the block's columns that hold it
+        for block, (c0, c1) in enumerate(zip(edges, edges[1:])):
+            counts = np.bincount(owner[c0:c1], minlength=states.shape[1])
+            block_sums[slot, block] = (states * counts) @ states.conj().T
+        vals = expectations(obs_stack, states)[owner]
+        obs_sum[slot] = vals.sum(axis=0)
+        obs_sqdev[slot] = ((vals - obs_sum[slot] / m) ** 2).sum(axis=0)
     return BatchResult(
-        block_counts=np.bincount(block_of(np.arange(n_trajectories, dtype=np.int64)), minlength=n_blocks),
+        block_counts=block_counts,
         block_sums=block_sums,
         obs_sum=obs_sum,
         obs_sqdev=obs_sqdev,
-        max_jump_prob=warn_jump_prob([part[3] for part in partials], base.dt),
+        max_jump_prob=warn_jump_prob(peak, base.dt),
     )

@@ -4,13 +4,13 @@
     qjump trajectory --config model.cfg [--out DIR] [--seed S]
     qjump ensemble   --config model.cfg [--out DIR] [--seed S] [--threads N]
 
---threads 0 (the default) uses all cores this process may use; the
-environment variable QJUMP_THREADS supplies a default when the flag is
-absent.  Ensemble runs keep numpy's OpenBLAS at one thread, so the
-worker threads are the only parallelism.  Outputs are CSV with a header
-row and 17 significant digits, and are byte-identical across reruns and
-thread counts for the same config; ensemble outputs also across BLAS
-thread settings.
+The engine runs one block of trajectories in the calling thread, at
+under 2 KiB per trajectory whatever the number of steps, and ensemble
+runs keep numpy's OpenBLAS at one thread.  --threads is accepted and
+checked (a nonnegative integer) but selects nothing.  Outputs are CSV
+with a header row and 17 significant digits, and depend only on the
+config: they are byte-identical across reruns and any --threads;
+ensemble outputs also across BLAS thread settings.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def cmd_trajectory(cfg: RunConfig) -> list[str]:
     return written
 
 
-def cmd_ensemble(cfg: RunConfig, threads: int = 1) -> list[str]:
+def cmd_ensemble(cfg: RunConfig) -> list[str]:
     """Ensemble average vs density-operator reference; writes convergence.csv."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     base = TrajectoryConfig(
@@ -211,7 +211,7 @@ def cmd_ensemble(cfg: RunConfig, threads: int = 1) -> list[str]:
         base=base,
         snapshot_times=cfg.snapshot_times,
     )
-    report = run_ensemble(cfg.generator, cfg.initial_state, ecfg, threads=threads)
+    report = run_ensemble(cfg.generator, cfg.initial_state, ecfg)
     conv_path = os.path.join(cfg.out_dir, "convergence.csv")
     write_convergence_csv(report, conv_path)
     written = [conv_path]
@@ -226,7 +226,7 @@ def cmd_ensemble(cfg: RunConfig, threads: int = 1) -> list[str]:
 
 
 def _thread_count(text: str) -> int:
-    """A thread count as --threads and QJUMP_THREADS give it: a nonnegative integer."""
+    """A thread count as --threads gives it: a nonnegative integer."""
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
@@ -248,21 +248,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=_thread_count,
             default=None,
-            help="worker threads for ensemble runs; 0 means all cores this process may use (default, or QJUMP_THREADS)",
+            help="accepted for existing command lines and checked, but has no effect: the engine runs in one thread",
         )
     return parser
-
-
-def _resolve_thread_request(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("QJUMP_THREADS", "").strip()
-    if env:
-        try:
-            return _thread_count(env)
-        except argparse.ArgumentTypeError as exc:
-            print(f"warning: ignoring QJUMP_THREADS: {exc}", file=sys.stderr)
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -287,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
             for path in cmd_trajectory(cfg):
                 print(path)
             return 0
-        for path in cmd_ensemble(cfg, threads=_resolve_thread_request(args)):
+        for path in cmd_ensemble(cfg):
             print(path)
         return 0
     except QJumpError as exc:

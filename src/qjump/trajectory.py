@@ -9,15 +9,17 @@ counter-based Philox generator keyed by (seed, trajectory_index), two
 uniforms per step, so any trajectory of an ensemble can be reproduced in
 isolation and ensembles need no coordination between trajectories.
 
-run_trajectories steps its trajectory indices, up to _batch.CHUNK at a
-time, through _batch.integrate, the step loop the ensemble engine uses,
-after the same input checks (_batch.prepare); it keeps every step's
-observables (_batch.expectations) and the jump events, and warns as the
-ensemble engine does.  The indices start on one shared state and share it
-until a jump of their own separates them, but each decides with its own
-uniforms and is judged on its own state.  Trajectory j therefore makes
-the same jump decisions whether it runs alone, next to other indices or
-inside an ensemble.  run_trajectory is the one-index case.
+run_trajectories steps all its trajectory indices as one block, in the
+calling thread, through _batch.integrate, the step loop the ensemble
+engine uses, after the same input checks (_batch.prepare); it keeps
+every step's observables (_batch.expectations) and the jump events, and
+warns as the ensemble engine does.  Besides the records, the block holds
+under 2 KiB per index however many steps the run takes.  The indices
+start on one shared state and share it until a jump of their own
+separates them, but each decides with its own uniforms and is judged on
+its own state.  Trajectory j therefore makes the same jump decisions
+whether it runs alone, next to other indices or inside an ensemble.
+run_trajectory is the one-index case.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ def run_trajectories(
 ) -> list[TrajectoryRecord]:
     """Evolve the trajectories indices on the configured grid, one record per index.
 
-    The indices are integrated in blocks of up to _batch.CHUNK, so an
-    error in any trajectory stops the whole run.
+    The indices are integrated in one block, so an error in any
+    trajectory stops the whole run.
     Identical inputs give bitwise-identical records: each stream is fixed
     by (seed, index) with exactly two uniforms consumed per step whether
     or not a jump fires.
@@ -126,24 +128,18 @@ def run_trajectories(
     flow, psi0, obs_stack = _batch.prepare(spec, psi0, [cfg.observables[name] for name in names])
     n = cfg.n_steps
     times = cfg.times
-    records: list[TrajectoryRecord] = []
-    peaks = []
-    for lo in range(0, len(indices), _batch.CHUNK):
-        chunk = indices[lo : lo + _batch.CHUNK]
-        values = np.empty((len(chunk), len(names), n + 1), dtype=np.float64)
-        events: list[list[JumpEvent]] = [[] for _ in chunk]
-        for k, states, owner, fired, peak in _batch.integrate(flow, psi0, cfg, chunk):
-            for j, rate, chosen in fired:
-                events[j].append(JumpEvent(time=k * cfg.dt, channel_rate=rate, target_index=chosen))
-            values[:, :, k] = _batch.expectations(obs_stack, states)[owner]
-        peaks.append(peak)
-        finals = states[:, owner]
-        records += [
-            TrajectoryRecord(times=times, observables=dict(zip(names, values[j])), jumps=events[j], final_state=finals[:, j])
-            for j in range(len(chunk))
-        ]
-    _batch.warn_jump_prob(peaks, cfg.dt)
-    return records
+    values = np.empty((len(indices), len(names), n + 1), dtype=np.float64)
+    events: list[list[JumpEvent]] = [[] for _ in indices]
+    for k, states, owner, fired, peak in _batch.integrate(flow, psi0, cfg, indices):
+        for j, rate, chosen in fired:
+            events[j].append(JumpEvent(time=k * cfg.dt, channel_rate=rate, target_index=chosen))
+        values[:, :, k] = _batch.expectations(obs_stack, states)[owner]
+    _batch.warn_jump_prob(peak, cfg.dt)
+    finals = states[:, owner]
+    return [
+        TrajectoryRecord(times=times, observables=dict(zip(names, values[j])), jumps=events[j], final_state=finals[:, j])
+        for j in range(len(indices))
+    ]
 
 
 def run_trajectory(spec: GeneratorSpec, psi0: np.ndarray, cfg: TrajectoryConfig, index: int = 0) -> TrajectoryRecord:

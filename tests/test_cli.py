@@ -1,6 +1,5 @@
 """End-to-end command line checks on small, fast configurations."""
 
-import argparse
 import dataclasses
 import json
 import os
@@ -13,7 +12,7 @@ import pytest
 
 import qjump
 from qjump import cli
-from qjump.cli import _resolve_thread_request, cmd_verify, main
+from qjump.cli import cmd_verify, main
 
 SMALL = """
 [model]
@@ -393,18 +392,6 @@ def test_out_and_seed_overrides(tmp_path):
     assert (alt / "convergence.csv").read_bytes() != base
 
 
-def test_thread_request_resolution(monkeypatch):
-    ns = argparse.Namespace(threads=5)
-    assert _resolve_thread_request(ns) == 5
-    ns = argparse.Namespace(threads=None)
-    monkeypatch.delenv("QJUMP_THREADS", raising=False)
-    assert _resolve_thread_request(ns) == 0
-    monkeypatch.setenv("QJUMP_THREADS", "3")
-    assert _resolve_thread_request(ns) == 3
-    monkeypatch.setenv("QJUMP_THREADS", "soup")
-    assert _resolve_thread_request(ns) == 0
-
-
 def test_trajectory_index_beyond_uint64_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "index.cfg"
     text = SMALL.replace("seed = 3", "seed = 3\ntrajectory_indices = 18446744073709551616")
@@ -420,12 +407,6 @@ def test_negative_thread_count_is_a_usage_error(tmp_path, capsys):
     assert info.value.code == 2
     assert "argument --threads: expected a nonnegative integer, got '-1'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_negative_thread_env_is_ignored_with_a_warning(monkeypatch, capsys):
-    monkeypatch.setenv("QJUMP_THREADS", "-2")
-    assert _resolve_thread_request(argparse.Namespace(threads=None)) == 0
-    assert "warning: ignoring QJUMP_THREADS: expected a nonnegative integer, got '-2'" in capsys.readouterr().err
 
 
 def test_density_dump_round_trip(tmp_path):

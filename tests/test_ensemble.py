@@ -6,12 +6,13 @@ simple enough that modest ensembles converge fast.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from qjump import _batch, cli, ensemble, generator, unraveling
+from qjump import _batch, _flow, cli, ensemble, generator, unraveling
 from qjump._batch import run_batch
 from qjump.ensemble import (
     ConvergenceReport,
@@ -187,14 +188,44 @@ def test_engine_matches_single_trajectory_runner():
             assert np.max(np.abs(batch.block_sums[0, idx] - outer(record.final_state))) < 1e-9
 
 
-def test_engine_reduction_independent_of_thread_count():
-    # more trajectories than one chunk so the reduction actually merges
-    cfg = EnsembleConfig(n_trajectories=2100, base=TrajectoryConfig(dt=1e-2, t_final=0.5, seed=3), snapshot_times=(0.0, 0.5))
-    batch1 = run_batch(FLIP, E0_2, cfg, threads=1)
-    batch4 = run_batch(FLIP, E0_2, cfg, threads=4)
-    assert np.array_equal(batch1.block_sums, batch4.block_sums)
-    assert np.array_equal(batch1.block_counts, batch4.block_counts)
-    assert batch1.max_jump_prob == batch4.max_jump_prob
+# H = sx with no dissipation: the state rotates and no trajectory ever jumps
+STILL = GeneratorSpec(hamiltonian=SX, couplings=(SX,), coeff=[[0.0]])
+
+
+def still_config(n_steps):
+    base = TrajectoryConfig(dt=1e-3, t_final=n_steps * 1e-3, seed=3, observables={"pop0": POP0})
+    return EnsembleConfig(n_trajectories=2100, base=base, snapshot_times=(0.0, n_steps * 1e-3))
+
+
+def test_trajectories_that_never_jump_share_one_state(monkeypatch):
+    # one flow evaluation of psi0, then per step three Runge-Kutta stages and
+    # the evaluation carried into the next step, each of the one shared state
+    n_steps = 20
+    widths = []
+    real = _flow.rhs_block
+
+    def spy(flow, psi):
+        widths.append(psi.shape[1])
+        return real(flow, psi)
+
+    monkeypatch.setattr(_flow, "rhs_block", spy)
+    batch = run_batch(STILL, E0_2, still_config(n_steps))
+    assert widths == [1] * (1 + 4 * n_steps)
+    assert batch.max_jump_prob == 0.0
+    assert batch.block_counts.sum() == 2100
+
+
+def test_ensemble_memory_does_not_grow_with_n_steps():
+    # the uniforms are drawn WINDOW rows at a time whatever n_steps is
+    peaks = {}
+    for n_steps in (200, 2000):
+        tracemalloc.start()
+        try:
+            run_batch(STILL, E0_2, still_config(n_steps))
+            peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2000] == pytest.approx(peaks[200], rel=0.1)
 
 
 class DrawSpy:
@@ -209,20 +240,18 @@ class DrawSpy:
         return self._stream.random(size)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_uniform_window_does_not_move_output(monkeypatch, threads):
+def test_uniform_window_does_not_move_output(monkeypatch):
     # 130 steps leave a partial last window at every window size tried
     n_steps, n_traj = 130, 12
     base = TrajectoryConfig(dt=1e-2, t_final=1.3, seed=3, observables={"pop0": POP0})
     cfg = EnsembleConfig(n_trajectories=n_traj, base=base, snapshot_times=(0.0, 0.65, 1.3))
-    monkeypatch.setattr(_batch, "CHUNK", 5)
     keyed = _batch.trajectory_rng
     results = {}
     for window in (_batch.WINDOW, 1, 7):
         rows = []
         monkeypatch.setattr(_batch, "WINDOW", window)
         monkeypatch.setattr(_batch, "trajectory_rng", lambda seed, index: DrawSpy(keyed(seed, index), rows))
-        results[window] = run_batch(FLIP, E0_2, cfg, threads=threads)
+        results[window] = run_batch(FLIP, E0_2, cfg)
         assert max(rows) == window and sum(rows) == n_steps * n_traj
     reference = results.pop(_batch.WINDOW)
     # some trajectory jumped: the flow alone never leaves |0>
@@ -233,11 +262,10 @@ def test_uniform_window_does_not_move_output(monkeypatch, threads):
         assert batch.obs_sqdev.tobytes() == reference.obs_sqdev.tobytes()
 
 
-def test_ensemble_stderr_matches_a_two_pass_reference(monkeypatch):
+def test_ensemble_stderr_matches_a_two_pass_reference():
     # at t = 0.03 a handful of 300 trajectories have jumped, so the variance
     # of x is about 2e-11 of its squared mean: E[x^2] - E[x]^2 would lose
     # most of its digits to cancellation
-    monkeypatch.setattr(_batch, "CHUNK", 64)  # five chunks to merge
     params = OscillatorParams(levels=20, d11=0.3, d22=0.5, re_d12=0.1, im_d12=0.05)
     spec = oscillator_generator(params)
     psi0 = coherent_state(20, 1.0)

@@ -1,10 +1,9 @@
-"""The engine's worker threads are its only parallelism.
+"""The engine runs one block in the calling thread, with BLAS pinned to one thread.
 
 run_batch and run_ensemble lower numpy's OpenBLAS to one thread for the
 whole call and restore the count afterwards, so output bytes do not
-depend on the BLAS thread setting and threaded BLAS never runs under
-threaded workers.  The auto worker count follows the CPUs this process
-may run on.
+depend on the BLAS thread setting, even when runs overlap in several
+threads of the caller.
 """
 
 import os
@@ -17,7 +16,7 @@ import pytest
 
 import qjump
 from qjump import _batch, _flow, ensemble
-from qjump._batch import resolve_threads, run_batch
+from qjump._batch import run_batch
 from qjump.ensemble import EnsembleConfig, run_ensemble
 from qjump.errors import StepTooLarge
 from qjump.generator import GeneratorSpec
@@ -28,12 +27,12 @@ FLIP = GeneratorSpec(hamiltonian=np.zeros((2, 2)), couplings=(SX,), coeff=[[0.5]
 E0_2 = np.array([1.0, 0.0], dtype=np.complex128)
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(qjump.__file__)))
 
-# two full chunks of a full-rank d=40 oscillator (two active couplings);
+# 2048 trajectories of a full-rank d=40 oscillator (two active couplings);
 # with BLAS threads left to the environment, 3 steps already move its bytes
 BLOCK_SUMS_DIGEST = """
 import hashlib
 import numpy as np
-from qjump._batch import CHUNK, run_batch
+from qjump._batch import run_batch
 from qjump.ensemble import EnsembleConfig
 from qjump.oscillator import OscillatorParams, oscillator_generator
 from qjump.trajectory import TrajectoryConfig
@@ -41,7 +40,7 @@ spec = oscillator_generator(OscillatorParams(levels=40, d11=0.05, d22=0.5))
 psi0 = np.zeros(40, dtype=np.complex128)
 psi0[:2] = 1.0
 base = TrajectoryConfig(dt=1e-3, t_final=3e-3, seed=7)
-batch = run_batch(spec, psi0, EnsembleConfig(n_trajectories=2 * CHUNK, base=base, snapshot_times=(0.0, 3e-3)), threads=1)
+batch = run_batch(spec, psi0, EnsembleConfig(n_trajectories=2048, base=base, snapshot_times=(0.0, 3e-3)))
 print(hashlib.sha256(batch.block_sums.tobytes()).hexdigest())
 """
 
@@ -74,9 +73,9 @@ def spy_rhs_block(monkeypatch, get):
     return seen
 
 
-def flip_batch(**kwargs):
+def flip_batch():
     cfg = EnsembleConfig(n_trajectories=8, base=TrajectoryConfig(dt=1e-2, t_final=0.2, seed=3), snapshot_times=(0.0, 0.2))
-    return run_batch(FLIP, E0_2, cfg, **kwargs)
+    return run_batch(FLIP, E0_2, cfg)
 
 
 def test_block_sums_bytes_do_not_depend_on_blas_threads():
@@ -90,11 +89,9 @@ def test_block_sums_bytes_do_not_depend_on_blas_threads():
     assert digests["1"] == digests["2"]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_run_batch_pins_blas_and_restores_count(monkeypatch, blas, threads):
-    monkeypatch.setattr(_batch, "CHUNK", 4)
+def test_run_batch_pins_blas_and_restores_count(monkeypatch, blas):
     seen = spy_rhs_block(monkeypatch, blas)
-    flip_batch(threads=threads)
+    flip_batch()
     assert seen and set(seen) == {1}
     assert blas() == 2
 
@@ -114,13 +111,11 @@ def test_run_ensemble_pins_blas_for_the_oracle(monkeypatch, blas):
     assert blas() == 2
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_blas_count_restored_after_error_in_a_chunk(monkeypatch, blas, threads):
-    monkeypatch.setattr(_batch, "CHUNK", 4)
+def test_blas_count_restored_after_error_in_the_block(blas):
     # the flip model decays at rate 1, so dt = 1 is a jump probability of 1 per step
     with pytest.raises(StepTooLarge):
         base = TrajectoryConfig(dt=1.0, t_final=3.0, seed=3)
-        run_batch(FLIP, E0_2, EnsembleConfig(n_trajectories=8, base=base, snapshot_times=(3.0,)), threads=threads)
+        run_batch(FLIP, E0_2, EnsembleConfig(n_trajectories=8, base=base, snapshot_times=(3.0,)))
     assert blas() == 2
 
 
@@ -199,15 +194,3 @@ def test_run_batch_without_a_reachable_openblas(monkeypatch):
     monkeypatch.setattr(_batch, "_numpy_openblas", lambda: None)
     unpinned = flip_batch()
     assert np.array_equal(pinned.block_sums, unpinned.block_sums)
-
-
-def test_auto_thread_count_follows_cpu_affinity(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-    assert resolve_threads(0) == 2
-    assert resolve_threads(None) == 2
-    assert resolve_threads(3) == 3
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert resolve_threads(0) == 8
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert resolve_threads(0) == 1

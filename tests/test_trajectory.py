@@ -230,12 +230,8 @@ def test_trajectory_warns_once_per_run():
     assert n_warnings == 1
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_batch_warns_once_per_run(monkeypatch, threads):
-    monkeypatch.setattr(_batch, "CHUNK", 4)
-    result, n_warnings = count_warnings(
-        lambda: run_batch(FLIP, E0_2, flip_ensemble(8, dt=0.2, t_final=1.0), threads=threads)
-    )
+def test_batch_warns_once_per_run():
+    result, n_warnings = count_warnings(lambda: run_batch(FLIP, E0_2, flip_ensemble(8, dt=0.2, t_final=1.0)))
     assert result.max_jump_prob == pytest.approx(0.2)
     assert n_warnings == 1
 
@@ -253,17 +249,14 @@ def rate_by_level(monkeypatch, rates):
     monkeypatch.setattr(_flow, "rhs_block", fake)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_batch_warning_names_the_trajectory_and_time(monkeypatch, threads):
-    # chunks of 4 over 7 trajectories; column 1 of each chunk jumps on its
-    # first step to its own state above the threshold, and column 1 of the
-    # 3-column chunk (index 5) to the highest
-    monkeypatch.setattr(_batch, "CHUNK", 4)
+def test_batch_warning_names_the_trajectory_and_time(monkeypatch):
+    # of 7 trajectories, indices 1 and 5 jump on their first step, each to
+    # its own state above the threshold, and index 5 to the highest
     scripted_uniforms(monkeypatch, {1: [(0.0, 0.2)], 5: [(0.0, 0.9)]})
     rate_by_level(monkeypatch, {1: 2.5, 2: 3.0})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = run_batch(VEE, VEE0, flip_ensemble(7, dt=0.05, t_final=0.25), threads=threads)
+        result = run_batch(VEE, VEE0, flip_ensemble(7, dt=0.05, t_final=0.25))
     messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
     assert len(messages) == 1
     assert messages[0].startswith("trajectory 5 at t=0.1: jump probability 0.150 per step exceeds 0.1")
@@ -326,28 +319,24 @@ def test_non_finite_jump_probability_is_rejected(dt):
         step_once(OSC, fock_state(20, 0), dt, u1=0.99, u2=0.5)
 
 
-# Error location.  Under seed 33, with chunks of 4 columns, 8 flip-model
-# trajectories and jump probability 0.05 per step, no trajectory of chunk 0
-# jumps within 6 steps and the first jump is trajectory 5 (chunk 1, column
-# 1) on step 1.  The batch engine must report the chunk offset plus the
+# Error location.  Under seed 33, with 8 flip-model trajectories and jump
+# probability 0.05 per step, only trajectory 5 jumps within 6 steps, first
+# on step 1.  The batch engine must report the trajectory index of the
 # column, and the time the failing step lands on.
 LOC_DT, LOC_STEPS, LOC_SEED = 0.05, 6, 33
 
 
 def first_jump():
-    """(trajectory, step) of the first jump in the engine's order: chunk, step, column."""
-    for lo in (0, 4):
-        u = np.stack([trajectory_rng(LOC_SEED, k).random((LOC_STEPS, 2))[:, 0] for k in range(lo, lo + 4)], axis=1)
-        steps, cols = np.nonzero(u < LOC_DT)
-        if steps.size:
-            return lo + int(cols[0]), int(steps[0])
-    raise AssertionError("no jump")
+    """(trajectory, step) of the first jump in the engine's order: step, then column."""
+    u = np.stack([trajectory_rng(LOC_SEED, k).random((LOC_STEPS, 2))[:, 0] for k in range(8)], axis=1)
+    steps, cols = np.nonzero(u < LOC_DT)
+    assert steps.size, "no jump"
+    return int(cols[0]), int(steps[0])
 
 
-def run_located(monkeypatch, error):
-    monkeypatch.setattr(_batch, "CHUNK", 4)
+def run_located(error):
     with pytest.raises(error) as info:
-        run_batch(FLIP, E0_2, flip_ensemble(8, dt=LOC_DT, t_final=LOC_DT * LOC_STEPS, seed=LOC_SEED), threads=1)
+        run_batch(FLIP, E0_2, flip_ensemble(8, dt=LOC_DT, t_final=LOC_DT * LOC_STEPS, seed=LOC_SEED))
     return str(info.value)
 
 
@@ -371,7 +360,7 @@ def test_empty_channels_error_names_trajectory_and_time(monkeypatch):
     traj, step = first_jump()
     assert (traj, step) == (5, 1)
     monkeypatch.setattr(_flow, "channels_block", no_channels)
-    message = run_located(monkeypatch, EmptyChannels)
+    message = run_located(EmptyChannels)
     assert f"trajectory {traj} at t={(step + 1) * LOC_DT:.12g}:" in message
     # the single-trajectory engine names the same place
     cfg = TrajectoryConfig(dt=LOC_DT, t_final=LOC_DT * LOC_STEPS, seed=LOC_SEED)
@@ -392,7 +381,7 @@ def test_block_error_names_the_index_of_its_column(monkeypatch):
 def test_negative_rate_error_names_trajectory_and_time(monkeypatch):
     traj, step = first_jump()
     rate_after_jump(monkeypatch, -1.0)
-    message = run_located(monkeypatch, NegativeRate)
+    message = run_located(NegativeRate)
     # the jump lands on step + 1, the failing step after it on step + 2
     assert f"trajectory {traj} at t={(step + 2) * LOC_DT:.12g}:" in message
 
@@ -400,7 +389,7 @@ def test_negative_rate_error_names_trajectory_and_time(monkeypatch):
 def test_step_too_large_error_names_trajectory_and_time(monkeypatch):
     traj, step = first_jump()
     rate_after_jump(monkeypatch, 100.0)
-    message = run_located(monkeypatch, StepTooLarge)
+    message = run_located(StepTooLarge)
     assert f"trajectory {traj} at t={(step + 2) * LOC_DT:.12g}:" in message
 
 
@@ -523,14 +512,6 @@ def test_cli_trajectory_block_with_a_jumping_neighbour_succeeds(tmp_path):
     path.write_text(TRIO_CONFIG.format(out=tmp_path / "out"))
     assert main(["trajectory", "--config", str(path)]) == 0
     assert (tmp_path / "out" / "jumps_00005.csv").exists()
-
-
-def test_block_jumps_do_not_depend_on_the_chunk(monkeypatch):
-    cfg = block_config()
-    psi0 = fock_state(20, 4)
-    whole = [jump_list(record) for record in run_trajectories(OSC, psi0, cfg, BLOCK_INDICES)]
-    monkeypatch.setattr(_batch, "CHUNK", 2)
-    assert [jump_list(record) for record in run_trajectories(OSC, psi0, cfg, BLOCK_INDICES)] == whole
 
 
 def vee_config():
