@@ -240,23 +240,27 @@ class DrawSpy:
         return self._stream.random(size)
 
 
-def test_uniform_window_does_not_move_output(monkeypatch):
-    # 130 steps leave a partial last window at every window size tried
+@pytest.mark.parametrize("runs", [1, 2])
+def test_uniform_window_does_not_move_output(monkeypatch, runs):
+    # 130 steps leave a partial last window at every window size tried; each
+    # window size runs `runs` times in a row, and a repeat moves nothing either
     n_steps, n_traj = 130, 12
     base = TrajectoryConfig(dt=1e-2, t_final=1.3, seed=3, observables={"pop0": POP0})
     cfg = EnsembleConfig(n_trajectories=n_traj, base=base, snapshot_times=(0.0, 0.65, 1.3))
     keyed = _batch.trajectory_rng
-    results = {}
+    results = []
     for window in (_batch.WINDOW, 1, 7):
-        rows = []
         monkeypatch.setattr(_batch, "WINDOW", window)
-        monkeypatch.setattr(_batch, "trajectory_rng", lambda seed, index: DrawSpy(keyed(seed, index), rows))
-        results[window] = run_batch(FLIP, E0_2, cfg)
-        assert max(rows) == window and sum(rows) == n_steps * n_traj
-    reference = results.pop(_batch.WINDOW)
+        for _ in range(runs):
+            rows = []
+            monkeypatch.setattr(_batch, "trajectory_rng", lambda seed, index: DrawSpy(keyed(seed, index), rows))
+            results.append(run_batch(FLIP, E0_2, cfg))
+            assert max(rows) == window and sum(rows) == n_steps * n_traj
+    reference = results.pop(0)
     # some trajectory jumped: the flow alone never leaves |0>
     assert reference.block_sums[-1, :, 1, 1].real.sum() > 0
-    for batch in results.values():
+    assert len(results) == 3 * runs - 1
+    for batch in results:
         assert batch.block_sums.tobytes() == reference.block_sums.tobytes()
         assert batch.obs_sum.tobytes() == reference.obs_sum.tobytes()
         assert batch.obs_sqdev.tobytes() == reference.obs_sqdev.tobytes()

@@ -89,11 +89,15 @@ def test_block_sums_bytes_do_not_depend_on_blas_threads():
     assert digests["1"] == digests["2"]
 
 
-def test_run_batch_pins_blas_and_restores_count(monkeypatch, blas):
+@pytest.mark.parametrize("runs", [1, 2])
+def test_run_batch_pins_blas_and_restores_count(monkeypatch, blas, runs):
+    # each of `runs` runs in a row pins BLAS afresh and restores it on leaving
     seen = spy_rhs_block(monkeypatch, blas)
-    flip_batch()
-    assert seen and set(seen) == {1}
-    assert blas() == 2
+    for _ in range(runs):
+        seen.clear()
+        flip_batch()
+        assert seen and set(seen) == {1}
+        assert blas() == 2
 
 
 def test_run_ensemble_pins_blas_for_the_oracle(monkeypatch, blas):
@@ -111,12 +115,15 @@ def test_run_ensemble_pins_blas_for_the_oracle(monkeypatch, blas):
     assert blas() == 2
 
 
-def test_blas_count_restored_after_error_in_the_block(blas):
-    # the flip model decays at rate 1, so dt = 1 is a jump probability of 1 per step
-    with pytest.raises(StepTooLarge):
-        base = TrajectoryConfig(dt=1.0, t_final=3.0, seed=3)
-        run_batch(FLIP, E0_2, EnsembleConfig(n_trajectories=8, base=base, snapshot_times=(3.0,)))
-    assert blas() == 2
+@pytest.mark.parametrize("runs", [1, 2])
+def test_blas_count_restored_after_error_in_a_chunk(blas, runs):
+    # the flip model decays at rate 1, so dt = 1 is a jump probability of 1
+    # per step; the one block of each of `runs` failing runs in a row raises
+    base = TrajectoryConfig(dt=1.0, t_final=3.0, seed=3)
+    for _ in range(runs):
+        with pytest.raises(StepTooLarge):
+            run_batch(FLIP, E0_2, EnsembleConfig(n_trajectories=8, base=base, snapshot_times=(3.0,)))
+        assert blas() == 2
 
 
 def test_overlapping_runs_restore_blas_count_when_the_last_leaves(monkeypatch, blas):

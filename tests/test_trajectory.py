@@ -230,10 +230,13 @@ def test_trajectory_warns_once_per_run():
     assert n_warnings == 1
 
 
-def test_batch_warns_once_per_run():
-    result, n_warnings = count_warnings(lambda: run_batch(FLIP, E0_2, flip_ensemble(8, dt=0.2, t_final=1.0)))
-    assert result.max_jump_prob == pytest.approx(0.2)
-    assert n_warnings == 1
+@pytest.mark.parametrize("runs", [1, 2])
+def test_batch_warns_once_per_run(runs):
+    # once per run, not once per process: a second run warns again
+    for _ in range(runs):
+        result, n_warnings = count_warnings(lambda: run_batch(FLIP, E0_2, flip_ensemble(8, dt=0.2, t_final=1.0)))
+        assert result.max_jump_prob == pytest.approx(0.2)
+        assert n_warnings == 1
 
 
 def rate_by_level(monkeypatch, rates):
@@ -249,18 +252,21 @@ def rate_by_level(monkeypatch, rates):
     monkeypatch.setattr(_flow, "rhs_block", fake)
 
 
-def test_batch_warning_names_the_trajectory_and_time(monkeypatch):
+@pytest.mark.parametrize("runs", [1, 2])
+def test_batch_warning_names_the_trajectory_and_time(monkeypatch, runs):
     # of 7 trajectories, indices 1 and 5 jump on their first step, each to
-    # its own state above the threshold, and index 5 to the highest
+    # its own state above the threshold, and index 5 to the highest; each of
+    # `runs` runs in a row names the same trajectory
     scripted_uniforms(monkeypatch, {1: [(0.0, 0.2)], 5: [(0.0, 0.9)]})
     rate_by_level(monkeypatch, {1: 2.5, 2: 3.0})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = run_batch(VEE, VEE0, flip_ensemble(7, dt=0.05, t_final=0.25))
-    messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
-    assert len(messages) == 1
-    assert messages[0].startswith("trajectory 5 at t=0.1: jump probability 0.150 per step exceeds 0.1")
-    assert result.max_jump_prob == pytest.approx(0.15)
+    for _ in range(runs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_batch(VEE, VEE0, flip_ensemble(7, dt=0.05, t_final=0.25))
+        messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+        assert len(messages) == 1
+        assert messages[0].startswith("trajectory 5 at t=0.1: jump probability 0.150 per step exceeds 0.1")
+        assert result.max_jump_prob == pytest.approx(0.15)
 
 
 @pytest.mark.parametrize("entry", ["run_batch", "run_ensemble", "run_trajectories", "run_trajectory"])
