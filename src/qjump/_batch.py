@@ -5,14 +5,14 @@ trajectories are held as their distinct states, the columns of one
 (d, S) block, and an owner map that gives each trajectory its state, so
 each Runge-Kutta stage is a single stacked matrix product over the
 distinct states only.  Every trajectory owns a Philox stream keyed by
-(seed, trajectory_index) with two uniforms per step.  The engine runs
-its one block in the calling thread, and the order of every reduction
-is fixed by the config alone, so output bytes depend only on the
-config.  The block draws its uniforms WINDOW steps at a time, so memory
-does not grow with n_steps; it holds under 2 KiB per trajectory (a
-(WINDOW, 2) window of uniforms and a Philox generator).  Philox draws
-split at any row boundary equal one whole draw, so WINDOW is not part
-of the contract.
+(seed, trajectory_index), which it reads as one pair of uniforms at
+t = 0 and one after each of its jumps.  The engine runs its one block in
+the calling thread, and the order of every reduction is fixed by the
+config alone, so output bytes depend only on the config.  Memory does
+not grow with n_steps: per trajectory the block holds its jump clock, the
+block of 4 doubles its next pairs come from, a pair count and its index,
+under 100 B.  philox_uniforms evaluates the blocks of many streams at
+once, so no per-trajectory generator is built.
 
 Both engines share everything but their reductions: run_batch reduces
 its block to per-snapshot sums, trajectory.run_trajectories keeps every
@@ -20,10 +20,12 @@ step of its requested indices.  run_batch takes the checked
 ensemble.EnsembleConfig and integrate a checked trajectory.TrajectoryConfig,
 so neither repeats a check of its config; prepare checks the rest.
 integrate is the one step loop: it starts every trajectory on one shared
-psi0, draws each trajectory's uniforms WINDOW steps at a time from its
-stream and takes every step through jump_step: Bernoulli jump with
-probability w dt decided by the first uniform, channel selection by
-cumulative scan with the second; a step jumps at t, then flows to t + dt.
+psi0 and takes every step through jump_step, with a jump clock per
+trajectory (Dalibard, Castin & Molmer 1992): a pair (a, b) sets the
+threshold -log(1 - a), the trajectory jumps on the step in which its
+integrated decay, the sum of w dt since the pair was drawn, passes it,
+and b selects the channel by cumulative scan; a step jumps at t, then
+flows to t + dt.
 Trajectories share a state until a jump of their own separates them: the
 ones that jump from one state through one channel on one step share the
 new state, so there are never more states than trajectories.  The flow
@@ -33,7 +35,7 @@ computed once per state however many trajectories hold it, and the
 channels once per state that some trajectory jumps from, in one stacked
 _flow.channels_block call.  jump_step is also the one judge of a step,
 and judges only the states that some trajectory keeps or jumps to.  Each
-trajectory still decides with its own uniforms, and its jump decisions
+trajectory still decides with its own clock, and its jump decisions
 and verdicts depend only on its stream and its own state, never on which
 trajectories share its block or its state; its last bits may, since BLAS
 sums a block of several states in another order than a single one.  expectations
@@ -62,7 +64,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import numpy.random  # numpy 2 loads it lazily: load it with qjump, not inside the first run
 
 from . import _flow
 from .errors import DimensionMismatch, EmptyChannels, NegativeRate, StepTooLarge
@@ -73,7 +74,6 @@ if TYPE_CHECKING:  # ensemble and trajectory import this module
     from .ensemble import EnsembleConfig
     from .trajectory import TrajectoryConfig
 
-WINDOW = 64  # steps of uniforms the block holds at once: 1 KiB per trajectory
 JUMP_PROB_WARN = 0.1
 JUMP_PROB_MAX = 0.5
 NORM_DRIFT_MAX = 1e-3
@@ -161,15 +161,61 @@ def single_blas_thread():
 
 
 def trajectory_rng(seed: int, trajectory_index: int) -> np.random.Generator:
-    """Philox stream keyed by (seed, trajectory_index).
+    """Philox stream keyed by (seed, trajectory_index): the reference definition of a trajectory's stream.
 
     Counter-based, so streams for different indices are independent and
     a single trajectory can be replayed without generating the others.
     The key layout (seed first, index second) is part of the stable
-    on-disk reproducibility contract.
+    on-disk reproducibility contract.  The engine reads the same doubles
+    through philox_uniforms and never builds a generator.
     """
     key = np.array([seed, trajectory_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+# Random123's Philox4x64 multipliers and Weyl key increments, as numpy's Philox uses them
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_MUL_LO, _PHILOX_MUL_HI = _PHILOX_MUL & _LOW, _PHILOX_MUL >> _HALF
+
+
+def philox_uniforms(seed: int, keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """(4, M) doubles of block blocks[j] of the stream (seed, keys[j]) in column j.
+
+    Block b holds the doubles 4b ... 4b + 3 of trajectory_rng(seed, keys[j]).random:
+    Philox4x64-10 at counter b + 1 (numpy increments the counter before
+    each block), each word w read as (w >> 11) 2^-53.  One evaluation over
+    all M columns, in uint64 arithmetic, with each 128-bit product's high
+    word built from 32-bit halves.
+    """
+    x = np.zeros((2, len(keys)), dtype=np.uint64)  # counter words 0 and 2
+    y = np.zeros_like(x)  # counter words 1 and 3
+    x[0] = blocks
+    x[0] += 1
+    key = np.empty_like(x)
+    key[0] = seed
+    key[1] = keys
+    for _ in range(10):
+        lo = x * _PHILOX_MUL
+        # high words of x * _PHILOX_MUL, in place over x (Hacker's Delight mulhu)
+        x_lo = x & _LOW
+        x >>= _HALF
+        t = x * _PHILOX_MUL_LO
+        t += (x_lo * _PHILOX_MUL_LO) >> _HALF
+        x_lo *= _PHILOX_MUL_HI
+        x_lo += t & _LOW
+        x *= _PHILOX_MUL_HI
+        x += t >> _HALF
+        x += x_lo >> _HALF
+        # Random123's round: (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+        x = x[::-1] ^ y
+        x ^= key
+        key += _PHILOX_WEYL
+        y = lo[::-1]
+    out = np.stack([x[0], y[0], x[1], y[1]])
+    out >>= 11
+    return out * 2.0**-53
 
 
 def select_channel(rates: np.ndarray, u2: float) -> int:
@@ -219,11 +265,15 @@ def jump_step(
     evaluation is _flow.rhs_block(flow, states): the flow rhs and the decay
     rate w of each state.  It supplies both the jump probability w dt and
     the first Runge-Kutta stage, so each state is evaluated once however
-    many columns hold it.  u[:, j] is column j's pair of uniforms for this
-    step and the step lands on t = (step + 1) dt; errors name both, for
-    the first column in column order whose own state fails a check.
-    Column j jumps when u[0, j] < w dt, at the start of the step, to the
-    channel that u[1, j] selects, which then flows to t.  The channels are
+    many columns hold it.  u[:, j] is column j's jump clock (see integrate):
+    u[0, j] is what is left of its threshold and u[1, j] the uniform that
+    picks the channel of the jump that ends it.  The step lands on
+    t = (step + 1) dt; errors name both, for the first column in column
+    order whose own state fails a check.  Column j jumps when
+    u[0, j] < w dt, at the start of the step, to the channel that u[1, j]
+    selects, which then flows to t.  The step spends w dt of every
+    column's u[0], in place; integrate redraws the clock of a column that
+    jumped.  The channels are
     found once per state that a column jumps from, and the columns that
     jump from one state through one channel share one new state.  Each
     state that some column keeps, and each new state, takes the Runge-Kutta
@@ -252,6 +302,7 @@ def jump_step(
     column_prob = prob[owner]
     highest = int(column_prob.argmax())
     fires = u[0] < column_prob
+    u[0] -= column_prob
     jumps: list[tuple[int, float, int]] = []
     targets: list[np.ndarray] = []
     slot_of: dict[tuple[int, int], int] = {}  # (source, channel) -> position in targets
@@ -307,32 +358,50 @@ def integrate(
     """Take len(indices) trajectories from psi0 through the n_steps steps of jump_step.
 
     cfg is the run's checked TrajectoryConfig, of which only the grid and
-    the seed are read.  Column j is trajectory indices[j] and draws two
-    uniforms per step from trajectory_rng(cfg.seed, indices[j]), WINDOW
-    steps at a time.  Every column starts on one shared copy of psi0 and
-    shares its state with the columns that have made the same jumps so far,
-    until a jump of its own separates it.  Yields (k, states, owner, jumps,
-    peak) for k = 0 ... n_steps: the (d, S) block of distinct states at
-    t = k dt, in which column j holds states[:, owner[j]], the jumps of the
-    step that landed on it and the columns' Peak so far.
+    the seed are read.  Column j is trajectory indices[j] and reads the
+    stream trajectory_rng(cfg.seed, indices[j]) as pairs (a, b): pair 0 at
+    t = 0 and pair n after its n-th jump.  A pair sets the column's jump
+    clock to the threshold -log(1 - a) and the channel uniform b; the
+    column jumps on the step in which the decay it has integrated since
+    then, the sum of w dt, passes the threshold.  A column's next pair
+    waits in the block of 4 doubles it holds, pairs 2b and 2b + 1 of
+    block b.  When a column that has read both pairs of its block jumps,
+    one philox_uniforms call refills the next block of every column that
+    has read both, so a run makes far fewer calls than steps; which call
+    fills a block does not change its doubles.  Every column starts on one
+    shared copy of psi0 and shares its state with the columns that have
+    made the same jumps so far, until a jump of its own separates it.
+    Yields (k, states, owner, jumps, peak) for k = 0 ... n_steps: the (d, S)
+    block of distinct states at t = k dt, in which column j holds
+    states[:, owner[j]], the jumps of the step that landed on it and the
+    columns' Peak so far.
     """
     dt, n_steps = cfg.dt, cfg.n_steps
-    streams = [trajectory_rng(cfg.seed, index) for index in indices]
-    uniforms = np.empty((min(WINDOW, n_steps), 2, len(streams)), dtype=np.float64)
+    keys = np.fromiter(indices, dtype=np.uint64, count=len(indices))
+    pooled = np.zeros(keys.size, dtype=np.int64)  # the block in pool, which holds pairs 2b and 2b + 1
+    pool = philox_uniforms(cfg.seed, keys, pooled)
+    drawn = np.ones(keys.size, dtype=np.int64)  # pairs read so far: pair 1 waits in pool[2:]
+    clock = np.stack([-np.log1p(-pool[0]), pool[1]])
     states = psi0[:, None]
-    owner = np.zeros(len(streams), dtype=np.intp)
+    owner = np.zeros(keys.size, dtype=np.intp)
     evaluation = _flow.rhs_block(flow, states)
     peak: Peak = (0.0, indices[0], 0)
     yield 0, states, owner, [], peak
     for i in range(n_steps):
-        row = i % WINDOW
-        if row == 0:
-            rows = min(WINDOW, n_steps - i)
-            for j, stream in enumerate(streams):
-                uniforms[:rows, :, j] = stream.random((rows, 2))
         states, owner, evaluation, (prob, index), jumps = jump_step(
-            flow, states, owner, evaluation, dt, uniforms[row], i, indices
+            flow, states, owner, evaluation, dt, clock, i, indices
         )
+        if jumps:
+            jumped = np.array([j for j, _, _ in jumps])
+            if _first(pooled[jumped] < drawn[jumped] // 2) is not None:
+                # a jumper has read both pairs of its block: refill every column that has
+                spent = np.flatnonzero(pooled < drawn // 2)
+                pooled[spent] += 1
+                pool[:, spent] = philox_uniforms(cfg.seed, keys[spent], pooled[spent])
+            pair = drawn[jumped] % 2
+            clock[0, jumped] = -np.log1p(-pool[2 * pair, jumped])
+            clock[1, jumped] = pool[2 * pair + 1, jumped]
+            drawn[jumped] += 1
         if prob > peak[0]:
             peak = (prob, index, i + 1)
         yield i + 1, states, owner, jumps, peak

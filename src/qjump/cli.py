@@ -5,7 +5,8 @@
     qjump ensemble   --config model.cfg [--out DIR] [--seed S] [--threads N]
 
 The engine runs one block of trajectories in the calling thread, at
-under 2 KiB per trajectory whatever the number of steps, and ensemble
+under 100 B per trajectory whatever the number of steps (a jump clock
+and the block of Philox uniforms its next draws come from), and ensemble
 runs keep numpy's OpenBLAS at one thread.  --threads is accepted and
 checked (a nonnegative integer) but selects nothing.  Outputs are CSV
 with a header row and 17 significant digits, and depend only on the

@@ -191,7 +191,8 @@ def run_ensemble(
 
     Trajectory indices run from 0 to n_trajectories - 1 under the
     configured seed, integrated as one block in the calling thread at
-    under 2 KiB per trajectory whatever the number of steps.  threads is
+    under 100 B per trajectory whatever the number of steps, each drawing
+    one pair of uniforms at t = 0 and one after each of its jumps.  threads is
     accepted for existing callers and selects nothing: the result depends
     only on (spec, psi0, cfg).  Like run_batch, the whole call, oracle and
     jackknife included, runs with numpy's OpenBLAS at one thread.

@@ -1,22 +1,25 @@
 """Piecewise-deterministic trajectories: flow steps interrupted by jumps.
 
 Time is discretized on a fixed grid of step dt.  A step from t may
-jump, with Bernoulli probability w dt decided by one uniform draw, and
-then advances the deterministic no-jump flow by one Runge-Kutta step:
-jump at t, then flow to t + dt, so after a jump the state at t + dt is
-the selected channel target flowed for dt.  The random stream is a
-counter-based Philox generator keyed by (seed, trajectory_index), two
-uniforms per step, so any trajectory of an ensemble can be reproduced in
-isolation and ensembles need no coordination between trajectories.
+jump, and then advances the deterministic no-jump flow by one
+Runge-Kutta step: jump at t, then flow to t + dt, so after a jump the
+state at t + dt is the selected channel target flowed for dt.  Each
+trajectory jumps on the step in which its decay, the sum of w dt since
+its last jump, passes a threshold -log(1 - a), so it survives k steps
+with probability exp(-sum of w dt).  The random stream is a
+counter-based Philox stream keyed by (seed, trajectory_index), read as
+one pair (a, b) of uniforms at t = 0 and one after each jump, b picking
+the jump's channel, so any trajectory of an ensemble can be reproduced
+in isolation and ensembles need no coordination between trajectories.
 
 run_trajectories steps all its trajectory indices as one block, in the
 calling thread, through _batch.integrate, the step loop the ensemble
 engine uses, after the same input checks (_batch.prepare); it keeps
 every step's observables (_batch.expectations) and the jump events, and
 warns as the ensemble engine does.  Besides the records, the block holds
-under 2 KiB per index however many steps the run takes.  The indices
+under 100 B per index however many steps the run takes.  The indices
 start on one shared state and share it until a jump of their own
-separates them, but each decides with its own uniforms and is judged on
+separates them, but each decides with its own stream and is judged on
 its own state.  Trajectory j therefore makes the same jump decisions
 whether it runs alone, next to other indices or inside an ensemble.
 run_trajectory is the one-index case.
@@ -111,8 +114,8 @@ def run_trajectories(
     The indices are integrated in one block, so an error in any
     trajectory stops the whole run.
     Identical inputs give bitwise-identical records: each stream is fixed
-    by (seed, index) with exactly two uniforms consumed per step whether
-    or not a jump fires.
+    by (seed, index), and it is read as one pair of uniforms at t = 0 and
+    one after each jump, whichever other indices run beside it.
     """
     indices = tuple(indices)
     if not indices:

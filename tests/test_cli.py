@@ -83,7 +83,8 @@ def write_config(tmp_path, out="out", dump="false", name="model.cfg"):
     return str(path)
 
 
-# every command, in a fresh interpreter; prints the exit codes and any scipy module loaded
+# one command in a fresh interpreter; prints its exit code, any scipy module
+# loaded and whether numpy.random was loaded
 IMPORT_PATH = """
 import json
 import sys
@@ -91,25 +92,33 @@ import sys
 import qjump
 import qjump.cli
 
-commands = (["verify"], ["trajectory"], ["ensemble", "--threads", "2"])
-codes = [qjump.cli.main([*command, "--config", sys.argv[1]]) for command in commands]
-print(json.dumps([codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]))
+code = qjump.cli.main([*sys.argv[2:], "--config", sys.argv[1]])
+scipy_modules = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps([code, scipy_modules, "numpy.random" in sys.modules]))
 """
 
 
 def test_commands_never_import_scipy(tmp_path):
+    # each command in its own process: verify draws probe states, which may
+    # load numpy.random, while trajectory and ensemble draw none of theirs
+    # through it
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(qjump.__file__))))
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PATH, write_config(tmp_path)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-        check=True,
-    )
-    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0]
-    assert scipy_modules == []
+    config = write_config(tmp_path)
+    random_loaded = {}
+    for command in (["verify"], ["trajectory"], ["ensemble", "--threads", "2"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PATH, config, *command],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        code, scipy_modules, random_loaded[command[0]] = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert scipy_modules == []
+    assert random_loaded["trajectory"] is False
+    assert random_loaded["ensemble"] is False
 
 
 def test_missing_subcommand_exits():
@@ -300,12 +309,21 @@ def test_trajectory_outputs(tmp_path):
     assert obs.read_bytes() == first  # rerun is byte-identical
 
 
+def jump_rows(path):
+    """(time, event_type, target_index) of every row of an event log."""
+    return [tuple(line.split(",")[i] for i in (0, 1, 3)) for line in path.read_text().splitlines()]
+
+
+# at seed 3, index 2 first jumps on the step to t=3.34 and index 0 on the step to t=6.11
+JUMPS_BY = "t_final = 6.11"
+
+
 def test_trajectory_multiple_indices(tmp_path):
-    # long enough that the two streams produce different jump patterns
+    # long enough that both indices jump, so the two streams produce different jump patterns
     cfg_text = (
         SMALL.format(out=tmp_path / "out", dump="false")
         .replace("seed = 3", "seed = 3\ntrajectory_indices = 0 2")
-        .replace("t_final = 0.2", "t_final = 1.0")
+        .replace("t_final = 0.2", JUMPS_BY)
         .replace("snapshot_times = 0.1 0.2", "snapshot_times = 0.5 1.0")
     )
     path = tmp_path / "multi.cfg"
@@ -318,14 +336,11 @@ def test_trajectory_multiple_indices(tmp_path):
         "observables_00000.csv",
         "observables_00002.csv",
     ]
+    for name in ("jumps_00000.csv", "jumps_00002.csv"):
+        assert any(row[1] == "jump" for row in jump_rows(tmp_path / "out" / name))
     a = (tmp_path / "out" / "jumps_00000.csv").read_text()
     b = (tmp_path / "out" / "jumps_00002.csv").read_text()
     assert a != b  # different trajectory index, different stream
-
-
-def jump_rows(path):
-    """(time, event_type, target_index) of every row of an event log."""
-    return [tuple(line.split(",")[i] for i in (0, 1, 3)) for line in path.read_text().splitlines()]
 
 
 def test_trajectory_index_jumps_do_not_depend_on_its_neighbours(tmp_path):
@@ -334,14 +349,14 @@ def test_trajectory_index_jumps_do_not_depend_on_its_neighbours(tmp_path):
     for indices in ("0 2", "0", "2"):
         out = tmp_path / indices.replace(" ", "_")
         path = tmp_path / "model.cfg"
-        text = SMALL.replace("seed = 3", f"seed = 3\ntrajectory_indices = {indices}").replace("t_final = 0.2", "t_final = 1.0")
+        text = SMALL.replace("seed = 3", f"seed = 3\ntrajectory_indices = {indices}").replace("t_final = 0.2", JUMPS_BY)
         path.write_text(text.replace("snapshot_times = 0.1 0.2", "snapshot_times = 1.0").format(out=out, dump="false"))
         assert main(["trajectory", "--config", str(path)]) == 0
         runs[indices] = out
     for index in ("0", "2"):
         alone = jump_rows(runs[index] / f"jumps_{int(index):05d}.csv")
+        assert any(row[1] == "jump" for row in alone)
         assert jump_rows(runs["0 2"] / f"jumps_{int(index):05d}.csv") == alone
-    assert any(row[1] == "jump" for row in jump_rows(runs["0"] / "jumps_00000.csv"))
 
 
 def test_trajectory_repeated_index_is_a_config_error(tmp_path, capsys):

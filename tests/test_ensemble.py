@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qjump import _batch, _flow, cli, ensemble, generator, unraveling
+from qjump import _flow, cli, ensemble, generator, unraveling
 from qjump._batch import run_batch
 from qjump.ensemble import (
     ConvergenceReport,
@@ -216,7 +216,7 @@ def test_trajectories_that_never_jump_share_one_state(monkeypatch):
 
 
 def test_ensemble_memory_does_not_grow_with_n_steps():
-    # the uniforms are drawn WINDOW rows at a time whatever n_steps is
+    # a trajectory draws uniforms per jump, not per step, and holds one block of them
     peaks = {}
     for n_steps in (200, 2000):
         tracemalloc.start()
@@ -228,42 +228,20 @@ def test_ensemble_memory_does_not_grow_with_n_steps():
     assert peaks[2000] == pytest.approx(peaks[200], rel=0.1)
 
 
-class DrawSpy:
-    """A trajectory stream that records the rows of every uniform draw."""
-
-    def __init__(self, stream, rows):
-        self._stream = stream
-        self._rows = rows
-
-    def random(self, size):
-        self._rows.append(size[0])
-        return self._stream.random(size)
-
-
-@pytest.mark.parametrize("runs", [1, 2])
-def test_uniform_window_does_not_move_output(monkeypatch, runs):
-    # 130 steps leave a partial last window at every window size tried; each
-    # window size runs `runs` times in a row, and a repeat moves nothing either
-    n_steps, n_traj = 130, 12
-    base = TrajectoryConfig(dt=1e-2, t_final=1.3, seed=3, observables={"pop0": POP0})
-    cfg = EnsembleConfig(n_trajectories=n_traj, base=base, snapshot_times=(0.0, 0.65, 1.3))
-    keyed = _batch.trajectory_rng
-    results = []
-    for window in (_batch.WINDOW, 1, 7):
-        monkeypatch.setattr(_batch, "WINDOW", window)
-        for _ in range(runs):
-            rows = []
-            monkeypatch.setattr(_batch, "trajectory_rng", lambda seed, index: DrawSpy(keyed(seed, index), rows))
-            results.append(run_batch(FLIP, E0_2, cfg))
-            assert max(rows) == window and sum(rows) == n_steps * n_traj
-    reference = results.pop(0)
-    # some trajectory jumped: the flow alone never leaves |0>
-    assert reference.block_sums[-1, :, 1, 1].real.sum() > 0
-    assert len(results) == 3 * runs - 1
-    for batch in results:
-        assert batch.block_sums.tobytes() == reference.block_sums.tobytes()
-        assert batch.obs_sum.tobytes() == reference.obs_sum.tobytes()
-        assert batch.obs_sqdev.tobytes() == reference.obs_sqdev.tobytes()
+def test_ensemble_holds_under_256_bytes_per_trajectory():
+    # per trajectory the engine holds its jump clock, its block of 4 doubles,
+    # its pair count, its index and its owner: under 100 B, plus the
+    # transient Philox evaluation of every trajectory's first block at t = 0
+    m = 20000
+    base = TrajectoryConfig(dt=1e-3, t_final=0.064, seed=3, observables={"pop0": POP0})
+    cfg = EnsembleConfig(n_trajectories=m, base=base, snapshot_times=(0.0, 0.064))
+    tracemalloc.start()
+    try:
+        run_batch(STILL, E0_2, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * m
 
 
 def test_ensemble_stderr_matches_a_two_pass_reference():

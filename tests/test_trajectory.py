@@ -3,7 +3,7 @@
 The two-level flip model (H = 0, A = sx, D = [[1/2]]) has constant decay
 rate w = 1 from either basis state and a frozen flow there, so its
 inter-jump waits are exponential with unit rate up to the first-order
-discretization of the per-step Bernoulli trial.  That makes it the one
+discretization of the jump clock on the dt grid.  That makes it the one
 model where the waiting-time distribution has a clean reference.
 """
 
@@ -76,26 +76,26 @@ def step_once(spec, psi, dt, u1, u2):
 
 
 def scripted_uniforms(monkeypatch, script, rest=(0.99, 0.5)):
-    """Make trajectory index draw the pairs script[index] on its first steps, then rest on every later step."""
+    """Make trajectory index draw the pairs script[index] at t = 0 and after its first jumps, then rest.
 
-    class Scripted:
-        def __init__(self, rows):
-            self.rows = np.asarray(rows, dtype=np.float64).reshape(-1, 2)
-            self.step = 0
+    Pair n is the one a trajectory draws after its n-th jump.  A pair
+    (0.0, b) jumps on the first step with w > 0, through the channel that b
+    selects; rest's 0.99 sets a threshold of 4.6, more decay than any of
+    these runs integrates.
+    """
 
-        def random(self, shape):
-            out = np.empty(shape)
-            out[:] = rest
-            head = self.rows[self.step : self.step + shape[0]]
-            out[: len(head)] = head
-            self.step += shape[0]
-            return out
+    def scripted(seed, keys, blocks):
+        out = np.empty((4, len(keys)))
+        for j, (key, block) in enumerate(zip(keys.tolist(), np.asarray(blocks).tolist())):
+            pairs = list(script.get(key, ()))[2 * block : 2 * block + 2]
+            out[:, j] = np.ravel(pairs + [rest] * (2 - len(pairs)))
+        return out
 
-    monkeypatch.setattr(_batch, "trajectory_rng", lambda seed, index: Scripted(script.get(index, ())))
+    monkeypatch.setattr(_batch, "philox_uniforms", scripted)
 
 
 def forced_uniforms(monkeypatch, u1, u2):
-    """Make run_trajectory draw the pair (u1, u2) on every step."""
+    """Make run_trajectory draw the pair (u1, u2) at t = 0 and after every jump."""
     scripted_uniforms(monkeypatch, {}, rest=(u1, u2))
 
 
@@ -122,6 +122,59 @@ def test_rng_streams():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, trajectory_rng(7, 4).random(4))
     assert not np.array_equal(a, trajectory_rng(3, 7).random(4))
+
+
+def test_philox_uniforms_read_each_stream_by_block():
+    # block b of the stream (seed, index) holds doubles 4b ... 4b + 3 of trajectory_rng(seed, index)
+    indices, blocks = (0, 1, 2**63, 2**64 - 1), (0, 1, 1000)
+    keys = np.array([index for index in indices for _ in blocks], dtype=np.uint64)
+    at = np.array([block for _ in indices for block in blocks], dtype=np.uint64)
+    for seed in (0, 7, 2**64 - 1):
+        got = _batch.philox_uniforms(seed, keys, at)
+        assert got.shape == (4, keys.size)
+        for j, (index, block) in enumerate(zip(keys.tolist(), at.tolist())):
+            assert got[:, j].tobytes() == trajectory_rng(seed, index).random(4 * (block + 1))[-4:].tobytes()
+
+
+def test_clock_reads_each_stream_as_one_pair_per_jump():
+    # a plain reference clock on VEE, whose basis states are frozen and keep
+    # their rates: 1.5 from |0> (a second uniform below 1/3 picks |1>), 1/2
+    # from |1> and 1 from |2>, each back into |0>.  Trajectory j reads
+    # pair 0 of its stream at t = 0 and pair n after its n-th jump
+    dt, n_steps = 0.01, 1000
+    cfg = TrajectoryConfig(dt=dt, t_final=dt * n_steps, seed=11)
+    records = run_trajectories(VEE, VEE0, cfg, range(8))
+    for j, record in enumerate(records):
+        pairs = trajectory_rng(cfg.seed, j).random(2 * n_steps).reshape(-1, 2)
+        level, n, expected = 0, 0, []
+        residual = -np.log1p(-pairs[0, 0])
+        for k in range(1, n_steps + 1):
+            rate = (1.5, 0.5, 1.0)[level]
+            if residual < rate * dt:
+                channel = int(pairs[n, 1] * 1.5 >= 0.5) if level == 0 else 0
+                level = 1 + channel if level == 0 else 0
+                expected.append((k, channel))
+                n += 1
+                residual = -np.log1p(-pairs[n, 0])
+            else:
+                residual -= rate * dt
+        assert len(expected) >= 5  # pairs 0 ... 5 span three blocks of the stream
+        assert [round(event.time / dt) for event in record.jumps] == [k for k, _ in expected]
+        assert [event.target_index for event in record.jumps] == [channel for _, channel in expected]
+
+
+def test_flip_survival_is_the_exponential_of_the_integrated_rate():
+    # w = 1 on every step, so a trajectory makes no jump in 10 steps of 0.08
+    # with probability exp(-0.8) = 0.4493; a Bernoulli trial with probability
+    # w dt per step would give 0.92^10 = 0.4344, 8.5 standard errors below
+    m = 80000
+    cfg = TrajectoryConfig(dt=0.08, t_final=0.8, seed=1)
+    jumped = np.zeros(m, dtype=bool)
+    for _, _, _, jumps, _ in _batch.integrate(compile_flow(FLIP), E0_2, cfg, range(m)):
+        jumped[[j for j, _, _ in jumps]] = True
+    survival = np.exp(-0.8)
+    sigma = np.sqrt(survival * (1.0 - survival) / m)
+    assert abs(np.mean(~jumped) - survival) < 4.0 * sigma
 
 
 def test_run_is_bitwise_deterministic():
@@ -177,19 +230,22 @@ def test_grid_step():
     assert trajectory.grid_step(float("inf"), 0.1) is None
 
 
-def test_maybe_jump_bernoulli_contract(monkeypatch):
-    # ground state decays at w = 1/2, so prob = 5e-4 at dt = 1e-3
+def test_maybe_jump_clock_contract(monkeypatch):
+    # ground state decays at w = 1/2, so w dt = 5e-4 at dt = 1e-3: a residual
+    # of 5.1e-4 outlasts the step and one of 4.9e-4 ends in it
     psi = fock_state(20, 0)
-    _, _, jumps = step_once(OSC, psi, 1e-3, u1=5.1e-4, u2=0.5)
+    u = np.array([[5.1e-4], [0.5]])
+    _, _, jumps = policy_step(OSC, psi[:, None], 1e-3, u)
     assert jumps == []
+    assert u[0, 0] == pytest.approx(1e-5, abs=1e-12)  # the step spent w dt of it
     # the jump lands on fock(1) at the start of the step, which then flows for dt
     landed = _flow.rk4_step_block(compile_flow(OSC), fock_state(20, 1)[:, None], 1e-3)[0][:, 0]
     target, _, jumps = step_once(OSC, psi, 1e-3, u1=4.9e-4, u2=0.5)
     assert abs(np.vdot(landed, target)) >= 1.0 - 1e-10
     assert jumps == [(0, jumps[0][1], 0)]
     assert jumps[0][1] == pytest.approx(0.5, abs=1e-10)
-    # the same draws through run_trajectory, whose event carries the time
-    # the step lands on
+    # the same through run_trajectory, whose event carries the time the step
+    # lands on: a pair (a, b) sets the threshold -log(1 - a), about a here
     cfg = TrajectoryConfig(dt=1e-3, t_final=1e-3, seed=0)
     forced_uniforms(monkeypatch, 5.1e-4, 0.5)
     assert run_trajectory(OSC, psi, cfg).jumps == []
@@ -199,6 +255,15 @@ def test_maybe_jump_bernoulli_contract(monkeypatch):
     (event,) = record.jumps
     assert event == JumpEvent(time=1e-3, channel_rate=event.channel_rate, target_index=0)
     assert event.channel_rate == pytest.approx(0.5, abs=1e-10)
+    # a trajectory whose pair sets the threshold E jumps on the first step k
+    # with E < sum of w dt over steps 1 ... k, then draws its next pair: the
+    # flip model's w dt is 0.01 on every step at dt = 0.01, so every pair
+    # (1 - e^-E, b) makes a jump every k steps
+    cfg = TrajectoryConfig(dt=0.01, t_final=0.2, seed=0)
+    for threshold, k in [(0.0, 1), (0.015, 2), (0.035, 4), (0.0999, 10)]:
+        forced_uniforms(monkeypatch, -np.expm1(-threshold), 0.5)
+        times = [event.time for event in run_trajectory(FLIP, E0_2, cfg).jumps]
+        assert times == pytest.approx([n * k * 0.01 for n in range(1, 20 // k + 1)], abs=1e-12)
 
 
 def test_maybe_jump_probability_guards(monkeypatch):
@@ -325,19 +390,25 @@ def test_non_finite_jump_probability_is_rejected(dt):
         step_once(OSC, fock_state(20, 0), dt, u1=0.99, u2=0.5)
 
 
-# Error location.  Under seed 33, with 8 flip-model trajectories and jump
-# probability 0.05 per step, only trajectory 5 jumps within 6 steps, first
-# on step 1.  The batch engine must report the trajectory index of the
+# Error location.  Under seed 33, with 8 flip-model trajectories and w dt
+# 0.05 per step, trajectories 6, 2 and 3 jump within 6 steps, 6 first, on
+# step 2.  The batch engine must report the trajectory index of the
 # column, and the time the failing step lands on.
 LOC_DT, LOC_STEPS, LOC_SEED = 0.05, 6, 33
 
 
 def first_jump():
-    """(trajectory, step) of the first jump in the engine's order: step, then column."""
-    u = np.stack([trajectory_rng(LOC_SEED, k).random((LOC_STEPS, 2))[:, 0] for k in range(8)], axis=1)
-    steps, cols = np.nonzero(u < LOC_DT)
-    assert steps.size, "no jump"
-    return int(cols[0]), int(steps[0])
+    """(trajectory, step) of the first jump in the engine's order: step, then column.
+
+    Trajectory k's first pair sets the threshold E = -log(1 - a), and the
+    flip model spends LOC_DT of it per step, so k first jumps on step
+    floor(E / LOC_DT).
+    """
+    thresholds = np.array([-np.log1p(-trajectory_rng(LOC_SEED, k).random()) for k in range(8)])
+    steps = np.floor(thresholds / LOC_DT).astype(int)
+    traj = int(steps.argmin())
+    assert steps[traj] < LOC_STEPS, "no jump"
+    return traj, int(steps[traj])
 
 
 def run_located(error):
@@ -364,7 +435,7 @@ def no_channels(flow, psi):
 
 def test_empty_channels_error_names_trajectory_and_time(monkeypatch):
     traj, step = first_jump()
-    assert (traj, step) == (5, 1)
+    assert (traj, step) == (6, 2)
     monkeypatch.setattr(_flow, "channels_block", no_channels)
     message = run_located(EmptyChannels)
     assert f"trajectory {traj} at t={(step + 1) * LOC_DT:.12g}:" in message
@@ -376,7 +447,7 @@ def test_empty_channels_error_names_trajectory_and_time(monkeypatch):
 
 
 def test_block_error_names_the_index_of_its_column(monkeypatch):
-    # indices 0 and 2 do not jump within the window, so the first jump, and the error, is 5's
+    # index 0 does not jump within the window and index 2 jumps after 6, so the first jump, and the error, is 6's
     traj, step = first_jump()
     monkeypatch.setattr(_flow, "channels_block", no_channels)
     cfg = TrajectoryConfig(dt=LOC_DT, t_final=LOC_DT * LOC_STEPS, seed=LOC_SEED)
@@ -461,8 +532,9 @@ def test_block_of_indices_matches_each_index_alone():
 # Three levels: |0> is frozen and decays into |1> at rate 1, and H_12 = 40
 # turns |1> into |2> far too fast for dt = 0.1, so a Runge-Kutta step from
 # |1> drifts off unit norm; at dt = 0.01 it drifts by 3e-5.  Under seed 5 and
-# dt = 0.01 trajectory 0 jumps into |1> on the step to t=0.96 and back into
-# |0> on the step to t=1.88, and trajectory 5 stays in |0>.
+# dt = 0.01 trajectory 0 jumps into |1> on the step to t=1.33, back into |0>
+# on the step to t=1.8 and into |1> again on the step to t=2.09, and
+# trajectory 5 jumps into |1> on the step to t=2.62.
 H12 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 40.0], [0.0, 40.0, 0.0]], dtype=np.complex128)
 TRIO = GeneratorSpec(hamiltonian=H12, couplings=(A01,), coeff=[[0.5]])
 TRIO_CONFIG = """
@@ -509,8 +581,8 @@ def test_a_trajectory_does_not_fail_for_its_neighbours_step():
         records = run_trajectories(TRIO, psi0, cfg, (0, 5))
         alone = [run_trajectory(TRIO, psi0, cfg, index) for index in (0, 5)]
     assert [jump_list(record) for record in records] == [jump_list(record) for record in alone]
-    assert jump_list(records[0]) == [(pytest.approx(0.96), 0), (pytest.approx(1.88), 0)]
-    assert jump_list(records[1]) == []
+    assert jump_list(records[0]) == [(pytest.approx(1.33), 0), (pytest.approx(1.8), 0), (pytest.approx(2.09), 0)]
+    assert jump_list(records[1]) == [(pytest.approx(2.62), 0)]
 
 
 def test_cli_trajectory_block_with_a_jumping_neighbour_succeeds(tmp_path):
@@ -538,12 +610,15 @@ def assert_each_index_alone(spec, psi0, cfg, indices):
 def test_a_step_in_which_every_column_jumps(monkeypatch):
     # every column jumps on step 0 from the one shared |0> into one shared
     # |1>; on step 2 indices 0 and 1 jump from |1> and index 2 from |0>, so
-    # no column keeps a state for the Runge-Kutta step
+    # no column keeps a state for the Runge-Kutta step.  |1>'s w dt is
+    # 0.025, so a threshold of 0.0375 after the first jump outlasts step 1
+    # and ends in step 2
+    later = (-np.expm1(-0.0375), 0.5)
     scripted_uniforms(
         monkeypatch,
         {
-            0: [(0.0, 0.2), (0.99, 0.5), (0.0, 0.5)],
-            1: [(0.0, 0.2), (0.99, 0.5), (0.0, 0.5)],
+            0: [(0.0, 0.2), later],
+            1: [(0.0, 0.2), later],
             2: [(0.0, 0.2), (0.0, 0.5), (0.0, 0.9)],
         },
     )
